@@ -1,8 +1,10 @@
 // google-benchmark micro-benchmarks for the performance-critical substrates:
-// sketching throughput, tokenizer, attention forward/backward, ANN search
-// (flat vs HNSW build/query/recall, serial vs pooled batch). These are the
-// ablation benches for DESIGN.md's design choices (MinHash K,
-// tensor-granularity autograd, pluggable VectorIndex backends).
+// sketching throughput, tokenizer, attention forward/backward, the encoder's
+// GEMM kernels and one table's embedding pass, ANN search (flat vs HNSW
+// build/query/recall, serial vs pooled batch). These are the ablation
+// benches for the design choices in docs/architecture.md (MinHash K,
+// tensor-granularity autograd, pluggable VectorIndex backends, the kernel
+// dispatch).
 #include <benchmark/benchmark.h>
 
 #include <unistd.h>
@@ -15,14 +17,18 @@
 #include <thread>
 #include <unordered_set>
 
+#include "core/embedder.h"
+#include "core/input_encoder.h"
+#include "core/model.h"
+#include "kernels/kernels.h"
 #include "lakebench/corpus.h"
 #include "lakebench/datagen.h"
 #include "nn/attention.h"
 #include "nn/ops.h"
-#include "search/distance_kernels.h"
 #include "search/hnsw.h"
 #include "search/knn_index.h"
 #include "search/quantizer.h"
+#include "search/scan.h"
 #include "search/sharded_lake_index.h"
 #include "search/vector_index.h"
 #include "server/distributed_lake_index.h"
@@ -184,8 +190,8 @@ BENCHMARK(BM_AttentionBackward)->Arg(32)->Arg(64);
 // The acceptance bar is SIMD >= 2x scalar at dim 768 on AVX2 hosts; see
 // bench/results/distance_kernels.json for a recorded run.
 
-const search::KernelDispatch& BenchKernels(int64_t simd) {
-  return simd != 0 ? search::BestKernels() : search::ScalarKernels();
+const kernels::KernelDispatch& BenchKernels(int64_t simd) {
+  return simd != 0 ? kernels::BestKernels() : kernels::ScalarKernels();
 }
 
 // Two vectors long enough that dim-768 reads stream from cache, offset so
@@ -204,7 +210,7 @@ struct KernelFixture {
 void BM_DistanceKernelDot(benchmark::State& state) {
   static const KernelFixture& f = *new KernelFixture();
   const size_t dim = static_cast<size_t>(state.range(0));
-  const search::KernelDispatch& kd = BenchKernels(state.range(1));
+  const kernels::KernelDispatch& kd = BenchKernels(state.range(1));
   for (auto _ : state) {
     benchmark::DoNotOptimize(kd.dot(f.a.data(), f.b.data(), dim));
   }
@@ -216,7 +222,7 @@ BENCHMARK(BM_DistanceKernelDot)->ArgsProduct({{64, 384, 768}, {0, 1}});
 void BM_DistanceKernelL2(benchmark::State& state) {
   static const KernelFixture& f = *new KernelFixture();
   const size_t dim = static_cast<size_t>(state.range(0));
-  const search::KernelDispatch& kd = BenchKernels(state.range(1));
+  const kernels::KernelDispatch& kd = BenchKernels(state.range(1));
   for (auto _ : state) {
     benchmark::DoNotOptimize(kd.l2sq(f.a.data(), f.b.data(), dim));
   }
@@ -240,7 +246,7 @@ struct ScanFixture {
     rows.resize(num_rows * dim);
     for (auto& x : rows) x = static_cast<float>(rng.Normal());
     for (size_t r = 0; r < num_rows; ++r) {
-      norms.push_back(std::sqrt(search::ScalarKernels().dot(
+      norms.push_back(std::sqrt(kernels::ScalarKernels().dot(
           rows.data() + r * dim, rows.data() + r * dim, dim)));
     }
     for (size_t i = 0; i < dim; ++i) {
@@ -257,7 +263,7 @@ struct ScanFixture {
 
 void ScanTopKBody(benchmark::State& state, const ScanFixture& f,
                   size_t num_rows, size_t dim) {
-  const search::KernelDispatch& kd = BenchKernels(state.range(0));
+  const kernels::KernelDispatch& kd = BenchKernels(state.range(0));
   const bool sq8 = state.range(1) != 0;
   for (auto _ : state) {
     auto hits =
@@ -312,7 +318,7 @@ void BM_MultiScanTopK(benchmark::State& state) {
     for (auto& x : *q) x = static_cast<float>(rng.Normal());
     return q;
   }();
-  const search::KernelDispatch& kd = BenchKernels(state.range(0));
+  const kernels::KernelDispatch& kd = BenchKernels(state.range(0));
   const bool sq8 = state.range(1) != 0;
   const size_t nq = static_cast<size_t>(state.range(2));
   for (auto _ : state) {
@@ -771,8 +777,25 @@ void BM_DistributedQPS(benchmark::State& state) {
 }
 BENCHMARK(BM_DistributedQPS)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
 
+// ------------------------------------------------------- encoder kernels
+// The encoder reaches its GEMM/GELU kernels through the process-wide
+// Kernels(), not an explicit set, so these benches pin the selection for
+// their run; the kernel-set arg is BenchKernels' (0 = scalar, 1 = best).
+// bench/results/encoder_kernels.json holds a recorded run.
+class BenchKernelScope {
+ public:
+  explicit BenchKernelScope(const kernels::KernelDispatch& set) {
+    kernels::internal::OverrideKernelsForTest(&set);
+  }
+  ~BenchKernelScope() { kernels::internal::OverrideKernelsForTest(nullptr); }
+  BenchKernelScope(const BenchKernelScope&) = delete;
+  BenchKernelScope& operator=(const BenchKernelScope&) = delete;
+};
+
+// nn::MatMul forward (gemm_nn) on n×n operands. Args: n, kernel set.
 void BM_MatMul(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
+  const BenchKernelScope pin(BenchKernels(state.range(1)));
   Rng rng(6);
   nn::Tensor a(n, n), b(n, n);
   for (size_t i = 0; i < a.size(); ++i) {
@@ -786,8 +809,66 @@ void BM_MatMul(benchmark::State& state) {
     benchmark::DoNotOptimize(c->value().data());
   }
   state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
+  state.SetLabel(kernels::Kernels().name);
 }
-BENCHMARK(BM_MatMul)->Arg(32)->Arg(64)->Arg(128);
+BENCHMARK(BM_MatMul)->ArgsProduct({{32, 64, 128}, {0, 1}});
+
+// lake_search's model stack (hidden 32, 2 layers, 2 heads, ffn 64, 16
+// MinHash slots) and one sketched 32-row lakebench domain table: the
+// encoder pass every CSV query pays before it is searched.
+struct EncoderFixture {
+  static text::Vocab MakeVocab() {
+    lakebench::DomainCatalog catalog(99, 100);
+    lakebench::CorpusScale scale;
+    scale.num_tables = 12;
+    scale.augmentations = 0;
+    return lakebench::BuildVocabFromTables(
+        lakebench::MakePretrainCorpus(catalog, scale, 99),
+        /*include_cells=*/false);
+  }
+  static core::TabSketchFMConfig MakeConfig(size_t vocab_size) {
+    core::TabSketchFMConfig config;
+    config.encoder.hidden = 32;
+    config.encoder.num_layers = 2;
+    config.encoder.num_heads = 2;
+    config.encoder.ffn_dim = 64;
+    config.encoder.dropout = 0.0f;
+    config.vocab_size = vocab_size;
+    config.num_perm = 16;
+    return config;
+  }
+  static TableSketch MakeSketch() {
+    lakebench::DomainCatalog catalog(7, 400);
+    Rng rng(7);
+    SketchOptions options;
+    options.num_perm = 16;
+    return BuildTableSketch(
+        lakebench::GenerateDomainTable(catalog.domain(0), "query", 32, &rng),
+        options);
+  }
+
+  text::Vocab vocab = MakeVocab();
+  core::TabSketchFMConfig config = MakeConfig(vocab.size());
+  Rng rng{1};
+  core::TabSketchFM model{config, &rng};
+  text::Tokenizer tokenizer{&vocab};
+  core::InputEncoder input_encoder{&config, &tokenizer};
+  core::Embedder embedder{&model, &input_encoder};
+  TableSketch sketch = MakeSketch();
+};
+
+// Embedder::ColumnEmbeddings for one table. Arg: kernel set.
+void BM_ColumnEmbeddings(benchmark::State& state) {
+  static const EncoderFixture& f = *new EncoderFixture();
+  const BenchKernelScope pin(BenchKernels(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(f.embedder.ColumnEmbeddings(f.sketch));
+  }
+  state.SetItemsProcessed(state.iterations());  // tables embedded
+  state.counters["columns"] = static_cast<double>(f.sketch.columns.size());
+  state.SetLabel(kernels::Kernels().name);
+}
+BENCHMARK(BM_ColumnEmbeddings)->Arg(0)->Arg(1);
 
 }  // namespace
 }  // namespace tsfm

@@ -81,7 +81,8 @@ void Run() {
       "CKAN Subset 36545 tables / 46.1%% float;\n"
       "Eurostat Subset 38904 tables / 64.6%% string; Wikijoin 46521 tables. "
       "The repo regenerates the same task mix, split scheme\n"
-      "and type skew at laptop scale (see DESIGN.md substitutions).\n");
+      "and type skew at laptop scale (see \"Scale substitutions\" in "
+      "docs/architecture.md).\n");
 }
 
 }  // namespace

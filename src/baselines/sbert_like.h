@@ -1,6 +1,6 @@
 // Frozen off-the-shelf sentence encoder standing in for SBERT
-// all-MiniLM-L12-v2 (paper Sec IV-C.1; substitution documented in
-// DESIGN.md).
+// all-MiniLM-L12-v2 (paper Sec IV-C.1; substitution documented under
+// "Scale substitutions" in docs/architecture.md).
 //
 // Embedding = L2-normalized sum of deterministic pseudo-random Gaussian
 // vectors hashed from each word and each character trigram. Shared words

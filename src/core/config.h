@@ -12,10 +12,10 @@ namespace tsfm::core {
 /// \brief Hyper-parameters of a TabSketchFM model.
 ///
 /// The paper trains a 12-layer, 768-wide, 118M-parameter model on 4xA100;
-/// the defaults here are the laptop-scale equivalent (see DESIGN.md,
-/// substitutions). Every structural element — the six summed embedding
-/// types, whole-column masking, the MLM head, the cross-encoder head — is
-/// identical.
+/// the defaults here are the laptop-scale equivalent (see "Scale
+/// substitutions" in docs/architecture.md). Every structural element — the
+/// six summed embedding types, whole-column masking, the MLM head, the
+/// cross-encoder head — is identical.
 struct TabSketchFMConfig {
   nn::TransformerConfig encoder;   ///< depth/width of the BERT encoder
   size_t vocab_size = 0;           ///< set after building the vocabulary

@@ -30,8 +30,9 @@ class Embedder {
   ///   3. the learned numerical-sketch projection.
   /// Blocks 2 and 3 expose the sketch-identity signal directly; at the
   /// paper's 118M-parameter scale the encoder states carry it on their own,
-  /// at this repo's CPU scale the shortcut keeps search viable (see
-  /// DESIGN.md). Ablation switches zero the corresponding blocks.
+  /// at this repo's CPU scale the shortcut keeps search viable (see "Scale
+  /// substitutions" in docs/architecture.md). Ablation switches zero the
+  /// corresponding blocks.
   /// Result is parallel to sketch.columns (columns truncated away by the
   /// sequence budget get zero context blocks).
   std::vector<std::vector<float>> ColumnEmbeddings(const TableSketch& sketch) const;

@@ -35,7 +35,8 @@ class TabSketchFM : public nn::Module {
 
   /// The learned MinHash input projection of a raw MinHash vector
   /// (paper Sec III-B.5, E_{C||W}); used by the Embedder to expose the
-  /// sketch-identity signal at small model scale (see DESIGN.md).
+  /// sketch-identity signal at small model scale (see "Scale
+  /// substitutions" in docs/architecture.md).
   std::vector<float> ProjectMinHash(const std::vector<float>& minhash_input) const;
 
   /// The learned numerical-sketch input projection (paper Sec III-B.6).

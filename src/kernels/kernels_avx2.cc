@@ -3,7 +3,9 @@
 // runtime CPU check in Kernels() — so nothing here may be called, and no
 // header inline function may be instantiated, from this TU in a way that
 // could be linked into the portable path (a scalar-looking inline compiled
-// here still carries VEX encodings). Everything below is file-local except
+// here still carries VEX encodings). That is why the GEMM's transpose
+// buffer comes from internal::ThreadScratch in the portable TU instead of
+// a container declared here. Everything below is file-local except
 // internal::Avx2Kernels().
 //
 // When the build does not enable the kernels (non-x86 target, or a
@@ -16,10 +18,11 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 
-#include "search/distance_kernels.h"
+#include "kernels/kernels.h"
 
-namespace tsfm::search {
+namespace tsfm::kernels {
 namespace {
 
 // Mask whose first `tail` (1..7) lanes are set — maskload zeroes the rest,
@@ -353,7 +356,7 @@ void L2SqManySq8Avx2(const float* query, const uint8_t* rows, size_t num_rows,
 // feeds four — 8 accumulators + 2 query registers + 4 row registers stays
 // inside the 16 ymm budget (a 4×4 tile would need 24 and spill).
 //
-// Bit-identity contract (distance_kernels.h): every (query, row) pair
+// Bit-identity contract (kernels.h): every (query, row) pair
 // accumulates exactly like DotManyAvx2 / L2SqManyAvx2 would for that row —
 // one 8-wide FMA chain over dim with a masked tail inside full groups of 4
 // rows, the pairwise kernel for the < 4 remainder rows. The query tiling
@@ -809,11 +812,185 @@ void L2SqMultiSq8Avx2(const float* queries, size_t num_queries,
   }
 }
 
+// ------------------------------------------------------------ encoder GEMM
+// Register-blocked micro-kernel in the Goto/van de Geijn style, the scan's
+// 2×4 tile above generalised to a tile of MR rows of A against NV 8-wide
+// column vectors of B. At the full 4×16 tile each k step costs two B loads
+// and four broadcasts for eight FMAs: 8 accumulators + 2 B registers + 1
+// broadcast stay inside the 16 ymm budget.
+//
+// Row invariance (kernels.h): every C element is the one FMA chain
+// acc = fma(a[i][p], b[p][j], acc) over p = 0..k-1 from acc = 0, whatever
+// the tile shape. Partial tiles (MR < 4, NV = 1, masked tail columns) run
+// the same chain, so a row's bits never depend on m or on where the row
+// falls in its tile.
+template <size_t MR, size_t NV, bool kMasked>
+inline void GemmTile(const float* a, const float* b, float* c, size_t k,
+                     size_t n, __m256i mask) {
+  static_assert(!kMasked || NV == 1, "only a single column vector is masked");
+  __m256 acc[MR][NV];
+  for (size_t r = 0; r < MR; ++r) {
+    for (size_t v = 0; v < NV; ++v) acc[r][v] = _mm256_setzero_ps();
+  }
+  for (size_t p = 0; p < k; ++p) {
+    const float* brow = b + p * n;
+    __m256 bv[NV];
+    for (size_t v = 0; v < NV; ++v) {
+      if constexpr (kMasked) {
+        bv[v] = _mm256_maskload_ps(brow, mask);
+      } else {
+        bv[v] = _mm256_loadu_ps(brow + 8 * v);
+      }
+    }
+    for (size_t r = 0; r < MR; ++r) {
+      const __m256 av = _mm256_broadcast_ss(a + r * k + p);
+      for (size_t v = 0; v < NV; ++v) {
+        acc[r][v] = _mm256_fmadd_ps(av, bv[v], acc[r][v]);
+      }
+    }
+  }
+  for (size_t r = 0; r < MR; ++r) {
+    for (size_t v = 0; v < NV; ++v) {
+      if constexpr (kMasked) {
+        _mm256_maskstore_ps(c + r * n, mask, acc[r][v]);
+      } else {
+        _mm256_storeu_ps(c + r * n + 8 * v, acc[r][v]);
+      }
+    }
+  }
+}
+
+// One column panel of C (NV vectors wide) for every row of A: full 4-row
+// tiles, then one 1..3-row tile for the remainder.
+template <size_t NV, bool kMasked>
+void GemmColumnPanel(const float* a, const float* b, float* c, size_t m,
+                     size_t k, size_t n, __m256i mask) {
+  size_t i = 0;
+  for (; i + 4 <= m; i += 4) {
+    GemmTile<4, NV, kMasked>(a + i * k, b, c + i * n, k, n, mask);
+  }
+  switch (m - i) {
+    case 3:
+      GemmTile<3, NV, kMasked>(a + i * k, b, c + i * n, k, n, mask);
+      break;
+    case 2:
+      GemmTile<2, NV, kMasked>(a + i * k, b, c + i * n, k, n, mask);
+      break;
+    case 1:
+      GemmTile<1, NV, kMasked>(a + i * k, b, c + i * n, k, n, mask);
+      break;
+    default:
+      break;
+  }
+}
+
+void GemmNnAvx2(const float* a, const float* b, float* c, size_t m, size_t k,
+                size_t n) {
+  // Column panels outermost: a k×16 panel of B stays cache-resident while
+  // every row tile of A streams past it.
+  const __m256i unused_mask = _mm256_setzero_si256();
+  size_t j = 0;
+  for (; j + 16 <= n; j += 16) {
+    GemmColumnPanel<2, false>(a, b + j, c + j, m, k, n, unused_mask);
+  }
+  if (j + 8 <= n) {
+    GemmColumnPanel<1, false>(a, b + j, c + j, m, k, n, unused_mask);
+    j += 8;
+  }
+  if (j < n) {
+    GemmColumnPanel<1, true>(a, b + j, c + j, m, k, n, TailMask(n - j));
+  }
+}
+
+void GemmNtAvx2(const float* a, const float* b, float* c, size_t m, size_t k,
+                size_t n) {
+  // Transpose B once (n·k moves against m·n·k FMAs) and run the NN tile:
+  // each element is then the same broadcast-FMA chain, so the NT product
+  // inherits row invariance and needs no horizontal sums, which would
+  // dominate at the attention head width (k = 16).
+  float* bt = internal::ThreadScratch(k * n);
+  for (size_t j = 0; j < n; ++j) {
+    const float* brow = b + j * k;
+    for (size_t p = 0; p < k; ++p) bt[p * n + j] = brow[p];
+  }
+  GemmNnAvx2(a, bt, c, m, k, n);
+}
+
+// ------------------------------------------------------------------- GELU
+
+constexpr float kInf = std::numeric_limits<float>::infinity();
+constexpr float kGeluC = 0.7978845608028654f;  // sqrt(2/pi)
+
+// e^x on 8 lanes, Cephes expf: x = n·ln2 + r with |r| <= ln2/2 (ln2 split
+// in two constants so r is exact), a degree-6 polynomial for e^r, and 2^n
+// built in the exponent field. About 1 ulp on the clamped range; above it
+// the result is +inf, below it 2^-126 (zero as far as GELU can tell). NaN
+// passes through.
+inline __m256 ExpAvx2(__m256 x) {
+  const __m256 hi = _mm256_set1_ps(88.3762626647949f);
+  const __m256 lo = _mm256_set1_ps(-87.3365447504019f);
+  const __m256 overflow = _mm256_cmp_ps(x, hi, _CMP_GT_OQ);
+  // min/max return their second operand when either is NaN.
+  x = _mm256_max_ps(lo, _mm256_min_ps(hi, x));
+  const __m256 n = _mm256_round_ps(
+      _mm256_mul_ps(x, _mm256_set1_ps(1.44269504088896341f)),
+      _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
+  __m256 r = _mm256_fnmadd_ps(n, _mm256_set1_ps(0.693359375f), x);
+  r = _mm256_fnmadd_ps(n, _mm256_set1_ps(-2.12194440e-4f), r);
+  __m256 p = _mm256_set1_ps(1.9875691500e-4f);
+  p = _mm256_fmadd_ps(p, r, _mm256_set1_ps(1.3981999507e-3f));
+  p = _mm256_fmadd_ps(p, r, _mm256_set1_ps(8.3334519073e-3f));
+  p = _mm256_fmadd_ps(p, r, _mm256_set1_ps(4.1665795894e-2f));
+  p = _mm256_fmadd_ps(p, r, _mm256_set1_ps(1.6666665459e-1f));
+  p = _mm256_fmadd_ps(p, r, _mm256_set1_ps(5.0000001201e-1f));
+  const __m256 er = _mm256_fmadd_ps(p, _mm256_mul_ps(r, r),
+                                    _mm256_add_ps(r, _mm256_set1_ps(1.0f)));
+  const __m256i pow2n = _mm256_slli_epi32(
+      _mm256_add_epi32(_mm256_cvtps_epi32(n), _mm256_set1_epi32(127)), 23);
+  const __m256 e = _mm256_mul_ps(er, _mm256_castsi256_ps(pow2n));
+  return _mm256_blendv_ps(e, _mm256_set1_ps(kInf), overflow);
+}
+
+// GELU(v) = 0.5·v·(1 + tanh(u)) with u = sqrt(2/pi)·(v + 0.044715·v³),
+// evaluated as the identical v / (1 + e^(-2u)): one exp, and no
+// cancellation where tanh(u) approaches -1. Like the scalar reference it
+// maps +inf to +inf, -inf to NaN, and NaN to NaN.
+inline __m256 GeluVec(__m256 v) {
+  const __m256 one = _mm256_set1_ps(1.0f);
+  const __m256 minus_2u = _mm256_mul_ps(
+      _mm256_mul_ps(v, _mm256_set1_ps(-2.0f * kGeluC)),
+      _mm256_fmadd_ps(_mm256_mul_ps(v, v), _mm256_set1_ps(0.044715f), one));
+  return _mm256_div_ps(v, _mm256_add_ps(one, ExpAvx2(minus_2u)));
+}
+
+void GeluAvx2(const float* x, float* out, size_t n) {
+  size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    _mm256_storeu_ps(out + i, GeluVec(_mm256_loadu_ps(x + i)));
+  }
+  if (i < n) {
+    const __m256i mask = TailMask(n - i);
+    _mm256_maskstore_ps(out + i, mask,
+                        GeluVec(_mm256_maskload_ps(x + i, mask)));
+  }
+}
+
 constexpr KernelDispatch kAvx2Kernels = {
-    "avx2-fma",  DotAvx2,      L2SqAvx2,       CosineAvx2,
-    DotManyAvx2, L2SqManyAvx2, DotManySq8Avx2, L2SqManySq8Avx2,
-    DotMultiAvx2,    L2SqMultiAvx2,
-    DotMultiSq8Avx2, L2SqMultiSq8Avx2,
+    .name = "avx2-fma",
+    .dot = DotAvx2,
+    .l2sq = L2SqAvx2,
+    .cosine = CosineAvx2,
+    .dot_many = DotManyAvx2,
+    .l2sq_many = L2SqManyAvx2,
+    .dot_many_sq8 = DotManySq8Avx2,
+    .l2sq_many_sq8 = L2SqManySq8Avx2,
+    .dot_multi = DotMultiAvx2,
+    .l2sq_multi = L2SqMultiAvx2,
+    .dot_multi_sq8 = DotMultiSq8Avx2,
+    .l2sq_multi_sq8 = L2SqMultiSq8Avx2,
+    .gemm_nn = GemmNnAvx2,
+    .gemm_nt = GemmNtAvx2,
+    .gelu = GeluAvx2,
 };
 
 }  // namespace
@@ -824,6 +1001,6 @@ const KernelDispatch* Avx2Kernels() { return &kAvx2Kernels; }
 
 }  // namespace internal
 
-}  // namespace tsfm::search
+}  // namespace tsfm::kernels
 
 #endif  // TSFM_HAVE_AVX2_KERNELS

@@ -1,7 +1,7 @@
 // Synthetic "open data" generation substrate.
 //
 // Replaces the paper's crawled CKAN/Socrata/Wikidata/ECB corpora (see
-// DESIGN.md, substitutions). Tables are drawn from a catalog of domains,
+// "Scale substitutions" in docs/architecture.md). Tables are drawn from a catalog of domains,
 // each with its own entity vocabulary, cryptic code columns, numeric
 // measures and date columns — reproducing the enterprise-lake character the
 // paper relies on (numeric-heavy, domain-specific entities, code words).

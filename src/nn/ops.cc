@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "kernels/kernels.h"
 #include "util/logging.h"
 
 namespace tsfm::nn {
@@ -17,17 +18,7 @@ Var MatMul(const Var& a, const Var& b) {
   TSFM_CHECK_EQ(A.cols(), B.rows());
   const size_t m = A.rows(), k = A.cols(), n = B.cols();
   Tensor C(m, n);
-  // ikj order: streams B rows, cache-friendly.
-  for (size_t i = 0; i < m; ++i) {
-    const float* arow = A.data() + i * k;
-    float* crow = C.data() + i * n;
-    for (size_t kk = 0; kk < k; ++kk) {
-      const float av = arow[kk];
-      if (av == 0.0f) continue;
-      const float* brow = B.data() + kk * n;
-      for (size_t j = 0; j < n; ++j) crow[j] += av * brow[j];
-    }
-  }
+  kernels::Kernels().gemm_nn(A.data(), B.data(), C.data(), m, k, n);
   auto out = MakeOp(std::move(C), {a, b}, nullptr);
   if (out->requires_grad()) {
     Node* on = out.get();
@@ -75,16 +66,7 @@ Var MatMulNT(const Var& a, const Var& b) {
   TSFM_CHECK_EQ(A.cols(), B.cols());
   const size_t m = A.rows(), k = A.cols(), n = B.rows();
   Tensor C(m, n);
-  for (size_t i = 0; i < m; ++i) {
-    const float* arow = A.data() + i * k;
-    float* crow = C.data() + i * n;
-    for (size_t j = 0; j < n; ++j) {
-      const float* brow = B.data() + j * k;
-      float s = 0.0f;
-      for (size_t kk = 0; kk < k; ++kk) s += arow[kk] * brow[kk];
-      crow[j] = s;
-    }
-  }
+  kernels::Kernels().gemm_nt(A.data(), B.data(), C.data(), m, k, n);
   auto out = MakeOp(std::move(C), {a, b}, nullptr);
   if (out->requires_grad()) {
     Node* on = out.get();
@@ -212,11 +194,7 @@ Var Sub(const Var& a, const Var& b) { return Add(a, Scale(b, -1.0f)); }
 Var Gelu(const Var& x) {
   const Tensor& X = x->value();
   Tensor out(X.rows(), X.cols());
-  for (size_t i = 0; i < X.size(); ++i) {
-    float v = X[i];
-    float inner = kGeluC * (v + 0.044715f * v * v * v);
-    out[i] = 0.5f * v * (1.0f + std::tanh(inner));
-  }
+  kernels::Kernels().gelu(X.data(), out.data(), X.size());
   auto node = MakeOp(std::move(out), {x}, nullptr);
   if (node->requires_grad()) {
     Node* on = node.get();

@@ -3,6 +3,11 @@
 // Every function builds the forward value eagerly and registers a backward
 // closure on the tape. Shape contracts are checked with TSFM_CHECK — a shape
 // bug aborts instead of silently corrupting training.
+//
+// The forward passes of MatMul, MatMulNT and Gelu run through the
+// process-wide kernel set (kernels/kernels.h: AVX2+FMA where the CPU has
+// it, scalar under LAKS_FORCE_SCALAR=1). Every backward closure is a plain
+// scalar loop, which keeps it the reference nn_gradcheck_test checks.
 #ifndef TSFM_NN_OPS_H_
 #define TSFM_NN_OPS_H_
 

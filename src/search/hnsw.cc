@@ -7,7 +7,7 @@
 #include <queue>
 #include <unordered_set>
 
-#include "search/distance_kernels.h"
+#include "kernels/kernels.h"
 #include "search/stream_io.h"
 #include "util/logging.h"
 
@@ -20,8 +20,9 @@ HnswIndex::HnswIndex(size_t dim, HnswOptions options, Metric metric)
     : dim_(dim), options_(options), metric_(metric), level_rng_(options.seed) {}
 
 float HnswIndex::Distance(const float* a, const float* b) const {
-  if (metric_ == Metric::kL2) return std::sqrt(L2Sq(a, b, dim_));
-  return 1.0f - Dot(a, b, dim_);  // vectors are unit-norm under cosine
+  if (metric_ == Metric::kL2) return std::sqrt(kernels::L2Sq(a, b, dim_));
+  // Vectors are unit-norm under cosine.
+  return 1.0f - kernels::Dot(a, b, dim_);
 }
 
 std::vector<std::pair<float, uint32_t>> HnswIndex::SearchLayer(const float* query,
@@ -75,7 +76,7 @@ void HnswIndex::Add(size_t payload, const std::vector<float>& vec) {
     data_.insert(data_.end(), vec.begin(), vec.end());
   } else {
     // Normalize so inner product equals cosine similarity.
-    const float norm = Norm(vec.data(), dim_);
+    const float norm = kernels::Norm(vec.data(), dim_);
     const float inv = norm > 1e-12f ? 1.0f / norm : 0.0f;
     for (float v : vec) data_.push_back(v * inv);
   }
@@ -144,7 +145,7 @@ std::vector<std::pair<size_t, float>> HnswIndex::Search(
   if (k == 0 || query.size() != dim_ || nodes_.empty()) return {};
   std::vector<float> q = query;
   if (metric_ != Metric::kL2) {
-    const float norm = Norm(q.data(), dim_);
+    const float norm = kernels::Norm(q.data(), dim_);
     if (norm > 1e-12f) {
       for (auto& v : q) v /= norm;
     }

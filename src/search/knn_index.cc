@@ -4,7 +4,8 @@
 #include <istream>
 #include <ostream>
 
-#include "search/distance_kernels.h"
+#include "kernels/kernels.h"
+#include "search/scan.h"
 #include "search/stream_io.h"
 #include "util/logging.h"
 #include "util/thread_pool.h"
@@ -57,7 +58,7 @@ void KnnIndex::Add(size_t payload, const std::vector<float>& vec) {
     return;
   }
   data_.insert(data_.end(), vec.begin(), vec.end());
-  norms_.push_back(Norm(vec.data(), dim_));
+  norms_.push_back(kernels::Norm(vec.data(), dim_));
 }
 
 void KnnIndex::EnsureQuantized() const {
@@ -237,8 +238,8 @@ Result<KnnIndex> KnnIndex::Load(std::istream& in) {
   if (!in) return Status::IoError("truncated flat vectors");
   index.norms_.reserve(header.n);
   for (uint64_t r = 0; r < header.n; ++r) {
-    index.norms_.push_back(Norm(index.data_.data() + r * header.dim,
-                                header.dim));
+    index.norms_.push_back(
+        kernels::Norm(index.data_.data() + r * header.dim, header.dim));
   }
   return index;
 }

@@ -54,8 +54,8 @@ class KnnIndex : public VectorIndex {
   /// Cosine distance = 1 - cos(a, b); a zero vector has no direction, so
   /// it (or a zero query) scores kMaxCosineDistance and ranks after every
   /// vector that has one. k == 0 or a query of the wrong dimension returns
-  /// an empty list. The scan runs through the process's selected distance
-  /// kernels (see distance_kernels.h); under kSq8 it is the asymmetric
+  /// an empty list. The scan runs through the process's selected kernels
+  /// (see search/scan.h); under kSq8 it is the asymmetric
   /// int8 scan with exact rescore (ScanTopKSq8), reporting distances in
   /// decoded space.
   std::vector<std::pair<size_t, float>> Search(const std::vector<float>& query,

@@ -14,8 +14,8 @@
 // no training data) gets scale 1 so decode reproduces the offset exactly.
 //
 // The codec owns the affine map only; the asymmetric float-query x
-// uint8-row kernels live in the DistanceKernel dispatch
-// (distance_kernels.h: dot_many_sq8 / l2sq_many_sq8 and ScanTopKSq8), and
+// uint8-row kernels live in the kernel dispatch (kernels/kernels.h:
+// dot_many_sq8 / l2sq_many_sq8; the scan is search/scan.h: ScanTopKSq8), and
 // the quantized index storage lives in KnnIndex. Persistence is a tagged
 // "CSQ8" section embedded in the LAK2 / FSQ8 images so calibration
 // survives save/load bit-exactly.

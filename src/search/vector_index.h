@@ -17,7 +17,7 @@
 #include <utility>
 #include <vector>
 
-#include "search/distance_kernels.h"  // Metric + the kernel seam below it
+#include "search/scan.h"  // Metric + the kernel seam below it
 #include "util/status.h"
 
 namespace tsfm {

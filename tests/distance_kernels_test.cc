@@ -1,8 +1,10 @@
-// The distance-kernel seam: scalar/SIMD agreement (the 1e-4 relative
+// The distance slots of the kernel seam (kernels/kernels.h) and the scans
+// above them (search/scan.h): scalar/SIMD agreement (the 1e-4 relative
 // tolerance contract), exact tail handling, the cosine normalization and
 // zero-norm semantics the seam owns, ScanTopK vs the pairwise kernels,
 // dispatch selection (including the LAKS_FORCE_SCALAR override), and
-// end-to-end lake parity between kernel sets.
+// end-to-end lake parity between kernel sets. The encoder slots (GEMM,
+// GELU) are covered by kernels_test.cc.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,10 +14,11 @@
 #include <unordered_set>
 #include <vector>
 
-#include "search/distance_kernels.h"
+#include "kernels/kernels.h"
 #include "search/hnsw.h"
 #include "search/knn_index.h"
 #include "search/quantizer.h"
+#include "search/scan.h"
 #include "search/sharded_lake_index.h"
 #include "search/vector_index.h"
 #include "test_util.h"
@@ -25,15 +28,21 @@
 namespace tsfm::search {
 namespace {
 
+using kernels::BestKernels;
+using kernels::CosineDistanceFromDot;
+using kernels::KernelDispatch;
+using kernels::Kernels;
+using kernels::kMaxCosineDistance;
+using kernels::ScalarKernels;
 using testutil::RandomVec;
 
 // Pins the process-wide kernel selection for one scope.
 class ScopedKernels {
  public:
-  explicit ScopedKernels(const KernelDispatch& kernels) {
-    internal::OverrideKernelsForTest(&kernels);
+  explicit ScopedKernels(const KernelDispatch& set) {
+    kernels::internal::OverrideKernelsForTest(&set);
   }
-  ~ScopedKernels() { internal::OverrideKernelsForTest(nullptr); }
+  ~ScopedKernels() { kernels::internal::OverrideKernelsForTest(nullptr); }
 };
 
 // The documented contract: kernel sets agree within 1e-4 relative (floored

@@ -12,9 +12,10 @@
 #include <unordered_set>
 #include <vector>
 
-#include "search/distance_kernels.h"
+#include "kernels/kernels.h"
 #include "search/knn_index.h"
 #include "search/quantizer.h"
+#include "search/scan.h"
 #include "search/vector_index.h"
 #include "test_util.h"
 #include "util/random.h"
@@ -22,6 +23,9 @@
 namespace tsfm::search {
 namespace {
 
+using kernels::BestKernels;
+using kernels::KernelDispatch;
+using kernels::ScalarKernels;
 using testutil::RandomRows;
 using testutil::RandomVec;
 

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <sstream>
 
+#include "kernels/kernels.h"
 #include "lakebench/search_benchmarks.h"
 #include "search/knn_index.h"
 #include "search/metrics.h"
@@ -107,7 +108,7 @@ TEST(KnnIndexTest, ZeroVectorGetsMaxCosineDistance) {
   EXPECT_EQ(hits[1].first, 2u);
   EXPECT_NEAR(hits[1].second, 1.0, 1e-6);
   EXPECT_EQ(hits[2].first, 0u);
-  EXPECT_EQ(hits[2].second, kMaxCosineDistance);
+  EXPECT_EQ(hits[2].second, kernels::kMaxCosineDistance);
 }
 
 TEST(KnnIndexTest, ZeroQueryRanksEverythingAtMaxCosineDistance) {
@@ -119,8 +120,8 @@ TEST(KnnIndexTest, ZeroQueryRanksEverythingAtMaxCosineDistance) {
   // Cosine is undefined against a zero query; results stay deterministic
   // (row order) with the max distance instead of fake ties at 1.0.
   EXPECT_EQ(hits[0].first, 0u);
-  EXPECT_EQ(hits[0].second, kMaxCosineDistance);
-  EXPECT_EQ(hits[1].second, kMaxCosineDistance);
+  EXPECT_EQ(hits[0].second, kernels::kMaxCosineDistance);
+  EXPECT_EQ(hits[1].second, kernels::kMaxCosineDistance);
 }
 
 TEST(KnnIndexTest, KLargerThanIndex) {

@@ -9,7 +9,7 @@
 
 #include <cstdlib>
 
-#include "search/distance_kernels.h"
+#include "kernels/kernels.h"
 #include "util/hash.h"
 #include "util/logging.h"
 #include "util/mutex.h"
@@ -495,23 +495,23 @@ TEST(KernelSelectionTest, ForceScalarEnvOverrideComposes) {
   const std::string saved = before != nullptr ? before : "";
 
   ASSERT_EQ(setenv("LAKS_FORCE_SCALAR", "1", /*overwrite=*/1), 0);
-  search::internal::OverrideKernelsForTest(nullptr);  // force re-selection
-  EXPECT_EQ(&search::Kernels(), &search::ScalarKernels());
+  kernels::internal::OverrideKernelsForTest(nullptr);  // force re-selection
+  EXPECT_EQ(&kernels::Kernels(), &kernels::ScalarKernels());
   // "0" and empty mean no override.
   ASSERT_EQ(setenv("LAKS_FORCE_SCALAR", "0", /*overwrite=*/1), 0);
-  search::internal::OverrideKernelsForTest(nullptr);
-  EXPECT_EQ(&search::Kernels(), &search::BestKernels());
+  kernels::internal::OverrideKernelsForTest(nullptr);
+  EXPECT_EQ(&kernels::Kernels(), &kernels::BestKernels());
 
   if (before != nullptr) {
     ASSERT_EQ(setenv("LAKS_FORCE_SCALAR", saved.c_str(), /*overwrite=*/1), 0);
   } else {
     ASSERT_EQ(unsetenv("LAKS_FORCE_SCALAR"), 0);
   }
-  search::internal::OverrideKernelsForTest(nullptr);
-  EXPECT_EQ(&search::Kernels(),
-            search::internal::ForceScalarFromEnvForTest()
-                ? &search::ScalarKernels()
-                : &search::BestKernels());
+  kernels::internal::OverrideKernelsForTest(nullptr);
+  EXPECT_EQ(&kernels::Kernels(),
+            kernels::internal::ForceScalarFromEnvForTest()
+                ? &kernels::ScalarKernels()
+                : &kernels::BestKernels());
 }
 
 }  // namespace
