@@ -8,7 +8,6 @@
 #include "search/quantizer.h"
 #include "search/stream_io.h"
 #include "util/logging.h"
-#include "util/thread_pool.h"
 
 namespace tsfm::search {
 
@@ -49,51 +48,11 @@ IndexOptions DeltaOptions(const IndexOptions& base, Metric metric) {
 LakeIndex::LakeIndex(size_t dim, const IndexOptions& options)
     : dim_(dim), index_(dim, options) {}
 
-void LakeIndex::MoveFieldsFrom(LakeIndex&& other) {
-  dim_ = other.dim_;
-  table_ids_ = std::move(other.table_ids_);
-  columns_ = std::move(other.columns_);
-  index_ = std::move(other.index_);
-  sealed_ = other.sealed_;
-  base_tables_ = other.base_tables_;
-  delta_ = std::move(other.delta_);
-  dead_ = std::move(other.dead_);
-  dead_tables_ = other.dead_tables_;
-  dead_base_columns_ = other.dead_base_columns_;
-  dead_delta_columns_ = other.dead_delta_columns_;
-  compactions_ = other.compactions_;
-  handles_by_id_ = std::move(other.handles_by_id_);
-}
-
-LakeIndex::LakeIndex(LakeIndex&& other) noexcept
-    : dim_(other.dim_), index_(std::move(other.index_)) {
-  // Locks are not movable and a move must not overlap any other operation
-  // on either operand, so the new index simply re-arms fresh ones.
-  table_ids_ = std::move(other.table_ids_);
-  columns_ = std::move(other.columns_);
-  sealed_ = other.sealed_;
-  base_tables_ = other.base_tables_;
-  delta_ = std::move(other.delta_);
-  dead_ = std::move(other.dead_);
-  dead_tables_ = other.dead_tables_;
-  dead_base_columns_ = other.dead_base_columns_;
-  dead_delta_columns_ = other.dead_delta_columns_;
-  compactions_ = other.compactions_;
-  handles_by_id_ = std::move(other.handles_by_id_);
-}
-
-LakeIndex& LakeIndex::operator=(LakeIndex&& other) noexcept {
-  if (this != &other) MoveFieldsFrom(std::move(other));
-  return *this;
-}
-
 size_t LakeIndex::AddTable(const std::string& table_id,
                            const std::vector<std::vector<float>>& column_embeddings) {
   for (const auto& col : column_embeddings) {
     TSFM_CHECK_EQ(col.size(), dim_);
   }
-  MutexLock writer(&writer_mu_);
-  WriterMutexLock lock(&mu_);
   size_t handle = table_ids_.size();
   table_ids_.push_back(table_id);
   columns_.push_back(column_embeddings);
@@ -112,9 +71,18 @@ size_t LakeIndex::AddTable(const std::string& table_id,
   return handle;
 }
 
+void LakeIndex::Tombstone(size_t handle) {
+  dead_[handle] = 1;
+  ++dead_tables_;
+  const size_t cols = columns_[handle].size();
+  if (handle < base_tables_) {
+    dead_base_columns_ += cols;
+  } else {
+    dead_delta_columns_ += cols;
+  }
+}
+
 Status LakeIndex::RemoveTable(const std::string& table_id) {
-  MutexLock writer(&writer_mu_);
-  WriterMutexLock lock(&mu_);
   auto it = handles_by_id_.find(table_id);
   if (it != handles_by_id_.end()) {
     // Newest live handle wins; already-dead trailing handles are pruned so
@@ -125,56 +93,14 @@ Status LakeIndex::RemoveTable(const std::string& table_id) {
     if (!it->second.empty()) {
       const size_t handle = it->second.back();
       it->second.pop_back();
-      dead_[handle] = 1;
-      ++dead_tables_;
-      const size_t cols = columns_[handle].size();
-      if (handle < base_tables_) {
-        dead_base_columns_ += cols;
-      } else {
-        dead_delta_columns_ += cols;
-      }
+      Tombstone(handle);
       return Status::OK();
     }
   }
   return Status::NotFound("no live table with id \"" + table_id + "\"");
 }
 
-void LakeIndex::Seal() {
-  MutexLock writer(&writer_mu_);
-  WriterMutexLock lock(&mu_);
-  sealed_ = true;
-}
-
-bool LakeIndex::WouldFoldInPlace(double hnsw_rebuild_threshold) const {
-  ReaderMutexLock lock(&mu_);
-  if (index_.options().backend != IndexBackend::kHnsw) return false;
-  if (hnsw_rebuild_threshold <= 0.0) return false;
-  if (table_ids_.empty()) return false;
-  const double ratio = static_cast<double>(dead_tables_) /
-                       static_cast<double>(table_ids_.size());
-  return ratio <= hnsw_rebuild_threshold;
-}
-
-void LakeIndex::FoldDeltaInPlace() {
-  MutexLock writer(&writer_mu_);
-  WriterMutexLock lock(&mu_);
-  for (size_t handle = base_tables_; handle < table_ids_.size(); ++handle) {
-    index_.AddTable(handle, columns_[handle]);
-  }
-  base_tables_ = table_ids_.size();
-  dead_base_columns_ += dead_delta_columns_;
-  dead_delta_columns_ = 0;
-  delta_.reset();
-  sealed_ = true;
-  ++compactions_;
-}
-
 LakeIndex::Compacted LakeIndex::BuildCompacted() const {
-  // The caller excludes mutations (it holds this index's writer_mu_ via
-  // Compact, or the sharded writer lock), so the shared lock taken here
-  // never contends with an exclusive waiter — it exists to pin the fields
-  // read below for the duration of the rebuild, same as any query.
-  ReaderMutexLock lock(&mu_);
   Compacted out{LakeIndex(dim_, index_.options()),
                 std::vector<size_t>(table_ids_.size(), SIZE_MAX)};
   for (size_t handle = 0; handle < table_ids_.size(); ++handle) {
@@ -185,77 +111,6 @@ LakeIndex::Compacted LakeIndex::BuildCompacted() const {
   }
   out.index.Seal();
   return out;
-}
-
-void LakeIndex::AdoptLocked(LakeIndex&& other) {
-  const uint64_t done = compactions_ + 1;
-  MoveFieldsFrom(std::move(other));
-  compactions_ = done;
-}
-
-Status LakeIndex::Compact(double hnsw_rebuild_threshold) {
-  {
-    MutexLock writer(&writer_mu_);
-    bool churned;
-    {
-      ReaderMutexLock lock(&mu_);
-      churned = ChurnedLocked();
-    }
-    if (!churned) {
-      // Nothing to fold; still seal (a compacted lake serves live churn)
-      // and count the pass so callers can observe it completed.
-      WriterMutexLock lock(&mu_);
-      sealed_ = true;
-      ++compactions_;
-      return Status::OK();
-    }
-  }
-  if (WouldFoldInPlace(hnsw_rebuild_threshold)) {
-    FoldDeltaInPlace();
-    return Status::OK();
-  }
-  MutexLock writer(&writer_mu_);
-  // The expensive rebuild runs while queries continue against the old
-  // segments; only the swap below excludes them.
-  Compacted compacted = BuildCompacted();
-  WriterMutexLock lock(&mu_);
-  AdoptLocked(std::move(compacted.index));
-  return Status::OK();
-}
-
-size_t LakeIndex::num_tables() const {
-  ReaderMutexLock lock(&mu_);
-  return table_ids_.size();
-}
-
-bool LakeIndex::churned() const {
-  ReaderMutexLock lock(&mu_);
-  return ChurnedLocked();
-}
-
-size_t LakeIndex::num_live_tables() const {
-  ReaderMutexLock lock(&mu_);
-  return table_ids_.size() - dead_tables_;
-}
-
-size_t LakeIndex::num_columns() const {
-  ReaderMutexLock lock(&mu_);
-  return index_.num_columns() + (delta_ != nullptr ? delta_->num_columns() : 0);
-}
-
-size_t LakeIndex::pending_delta_tables() const {
-  ReaderMutexLock lock(&mu_);
-  return table_ids_.size() - base_tables_;
-}
-
-size_t LakeIndex::pending_tombstones() const {
-  ReaderMutexLock lock(&mu_);
-  return dead_tables_;
-}
-
-uint64_t LakeIndex::compactions() const {
-  ReaderMutexLock lock(&mu_);
-  return compactions_;
 }
 
 std::vector<std::string> RankedTableIds(const std::vector<std::string>& table_ids,
@@ -270,51 +125,22 @@ std::vector<std::string> RankedTableIds(const std::vector<std::string>& table_id
   return out;
 }
 
-void LakeIndex::FilterDeadLocked(
-    std::vector<ColumnEmbeddingIndex::ColumnHit>* hits, size_t m) const {
-  // Open-coded remove_if: a predicate lambda would read dead_ from a
-  // function the thread-safety analysis treats as unlocked.
-  size_t kept = 0;
-  for (size_t i = 0; i < hits->size(); ++i) {
-    if (dead_[(*hits)[i].table_id] != 0) continue;
-    if (kept != i) (*hits)[kept] = std::move((*hits)[i]);
-    ++kept;
-  }
-  hits->resize(std::min(kept, m));
+void LakeIndex::FilterDead(std::vector<ColumnEmbeddingIndex::ColumnHit>* hits,
+                           size_t m) const {
+  std::erase_if(*hits, [&](const ColumnEmbeddingIndex::ColumnHit& hit) {
+    return dead_[hit.table_id] != 0;
+  });
+  hits->resize(std::min(hits->size(), m));
 }
 
-std::vector<ColumnEmbeddingIndex::ColumnHit> LakeIndex::SearchColumnsLocked(
-    const std::vector<float>& query, size_t m) const {
-  if (!ChurnedLocked()) return index_.SearchColumns(query, m);
+std::vector<std::vector<ColumnEmbeddingIndex::ColumnHit>>
+LakeIndex::SearchColumnsBatch(const std::vector<std::vector<float>>& queries,
+                              size_t m, ThreadPool* pool) const {
+  if (!churned()) return index_.SearchColumnsBatch(queries, m, pool);
   // Over-fetch by the tombstoned-column count: at most that many of the
   // top slots can be dead, so filtering still leaves m live hits whenever
   // m live columns exist (exact for flat scans; HNSW is approximate
   // regardless, and the budget keeps its candidate frontier honest).
-  std::vector<std::vector<ColumnEmbeddingIndex::ColumnHit>> lists;
-  lists.push_back(index_.SearchColumns(query, m + dead_base_columns_));
-  FilterDeadLocked(&lists.back(), m);
-  if (delta_ != nullptr) {
-    lists.push_back(delta_->SearchColumns(query, m + dead_delta_columns_));
-    FilterDeadLocked(&lists.back(), m);
-  }
-  // Base handles precede delta handles, and both lists are sorted by
-  // (distance, table, column), so the merge equals one sorted scan over
-  // all live columns — bit-identical to an unchurned flat index holding
-  // the same live tables under the same handles.
-  return TableRanker::MergeColumnHits(lists, m);
-}
-
-std::vector<ColumnEmbeddingIndex::ColumnHit> LakeIndex::SearchColumns(
-    const std::vector<float>& query, size_t m) const {
-  ReaderMutexLock lock(&mu_);
-  return SearchColumnsLocked(query, m);
-}
-
-std::vector<std::vector<ColumnEmbeddingIndex::ColumnHit>>
-LakeIndex::SearchColumnsBatchLocked(
-    const std::vector<std::vector<float>>& queries, size_t m,
-    ThreadPool* pool) const {
-  if (!ChurnedLocked()) return index_.SearchColumnsBatch(queries, m, pool);
   auto base = index_.SearchColumnsBatch(queries, m + dead_base_columns_, pool);
   std::vector<std::vector<ColumnEmbeddingIndex::ColumnHit>> delta;
   if (delta_ != nullptr) {
@@ -325,132 +151,27 @@ LakeIndex::SearchColumnsBatchLocked(
   for (size_t q = 0; q < queries.size(); ++q) {
     std::vector<std::vector<ColumnEmbeddingIndex::ColumnHit>> lists;
     lists.push_back(std::move(base[q]));
-    FilterDeadLocked(&lists.back(), m);
+    FilterDead(&lists.back(), m);
     if (!delta.empty()) {
       lists.push_back(std::move(delta[q]));
-      FilterDeadLocked(&lists.back(), m);
+      FilterDead(&lists.back(), m);
     }
+    // Base handles precede delta handles, and both lists are sorted by
+    // (distance, table, column), so the merge equals one sorted scan over
+    // all live columns — bit-identical to an unchurned flat index holding
+    // the same live tables under the same handles.
     merged[q] = TableRanker::MergeColumnHits(lists, m);
   }
   return merged;
 }
 
-std::vector<std::vector<ColumnEmbeddingIndex::ColumnHit>>
-LakeIndex::SearchColumnsBatch(const std::vector<std::vector<float>>& queries,
-                              size_t m, ThreadPool* pool) const {
-  ReaderMutexLock lock(&mu_);
-  return SearchColumnsBatchLocked(queries, m, pool);
-}
-
-std::vector<std::string> LakeIndex::QueryUnionable(
-    const std::vector<std::vector<float>>& query_columns, size_t k) const {
-  ReaderMutexLock lock(&mu_);
-  if (!ChurnedLocked()) {
-    TableRanker ranker(&index_);
-    // SIZE_MAX: external queries are not part of the corpus; exclude nothing.
-    return RankedTableIds(
-        table_ids_, ranker.RankTables(query_columns, k, /*exclude=*/SIZE_MAX),
-        k);
-  }
-  // Same k*3 over-retrieval and RANK1/RANK2 aggregation as the unchurned
-  // path, with the churn-aware candidate search underneath.
-  std::vector<std::vector<ColumnEmbeddingIndex::ColumnHit>> per_column_hits;
-  per_column_hits.reserve(query_columns.size());
-  for (const auto& qcol : query_columns) {
-    per_column_hits.push_back(SearchColumnsLocked(qcol, k * 3));
-  }
-  return RankedTableIds(
-      table_ids_,
-      TableRanker::RankFromColumnHits(per_column_hits, /*exclude=*/SIZE_MAX),
-      k);
-}
-
-std::vector<std::string> LakeIndex::QueryJoinable(
-    const std::vector<float>& query_column, size_t k) const {
-  ReaderMutexLock lock(&mu_);
-  if (!ChurnedLocked()) {
-    TableRanker ranker(&index_);
-    return RankedTableIds(
-        table_ids_,
-        ranker.RankTablesByColumn(query_column, k, /*exclude=*/SIZE_MAX), k);
-  }
-  return RankedTableIds(table_ids_,
-                        TableRanker::RankFromSingleColumnHits(
-                            SearchColumnsLocked(query_column, k * 3),
-                            /*exclude=*/SIZE_MAX),
-                        k);
-}
-
-std::vector<std::vector<std::string>> LakeIndex::QueryUnionableBatch(
-    const std::vector<std::vector<std::vector<float>>>& queries, size_t k,
-    ThreadPool* pool) const {
-  ReaderMutexLock lock(&mu_);
-  if (!ChurnedLocked()) {
-    TableRanker ranker(&index_);
-    auto ranked = ranker.RankTablesBatch(queries, k, /*excludes=*/{}, pool);
-    std::vector<std::vector<std::string>> out(ranked.size());
-    for (size_t q = 0; q < ranked.size(); ++q) {
-      out[q] = RankedTableIds(table_ids_, ranked[q], k);
-    }
-    return out;
-  }
-  // Flatten every query's columns into one batched candidate search (the
-  // same shape ShardedLakeIndex uses), then aggregate per query.
-  std::vector<size_t> offset(queries.size() + 1, 0);
-  for (size_t q = 0; q < queries.size(); ++q) {
-    offset[q + 1] = offset[q] + queries[q].size();
-  }
-  std::vector<std::vector<float>> flat;
-  flat.reserve(offset.back());
-  for (const auto& query : queries) {
-    flat.insert(flat.end(), query.begin(), query.end());
-  }
-  auto hits = SearchColumnsBatchLocked(flat, k * 3, pool);
-  std::vector<std::vector<std::string>> out(queries.size());
-  for (size_t q = 0; q < queries.size(); ++q) {
-    std::vector<std::vector<ColumnEmbeddingIndex::ColumnHit>> per_column(
-        std::make_move_iterator(hits.begin() + offset[q]),
-        std::make_move_iterator(hits.begin() + offset[q + 1]));
-    out[q] = RankedTableIds(
-        table_ids_,
-        TableRanker::RankFromColumnHits(per_column, /*exclude=*/SIZE_MAX), k);
-  }
-  return out;
-}
-
-std::vector<std::vector<std::string>> LakeIndex::QueryJoinableBatch(
-    const std::vector<std::vector<float>>& query_columns, size_t k,
-    ThreadPool* pool) const {
-  ReaderMutexLock lock(&mu_);
-  if (!ChurnedLocked()) {
-    TableRanker ranker(&index_);
-    auto ranked =
-        ranker.RankTablesByColumnBatch(query_columns, k, /*excludes=*/{}, pool);
-    std::vector<std::vector<std::string>> out(ranked.size());
-    for (size_t q = 0; q < ranked.size(); ++q) {
-      out[q] = RankedTableIds(table_ids_, ranked[q], k);
-    }
-    return out;
-  }
-  auto hits = SearchColumnsBatchLocked(query_columns, k * 3, pool);
-  std::vector<std::vector<std::string>> out(query_columns.size());
-  for (size_t q = 0; q < query_columns.size(); ++q) {
-    out[q] = RankedTableIds(table_ids_,
-                            TableRanker::RankFromSingleColumnHits(
-                                hits[q], /*exclude=*/SIZE_MAX),
-                            k);
-  }
-  return out;
-}
-
 Status LakeIndex::Save(const std::string& path) const {
-  ReaderMutexLock lock(&mu_);
   std::ofstream out(path, std::ios::binary);
   if (!out) return Status::IoError("cannot open " + path + " for writing");
   const IndexOptions& opt = index_.options();
   const bool sq8 = opt.storage == Storage::kSq8;
-  const bool churned = ChurnedLocked();
-  const uint32_t version = churned ? kFormatVersion
+  const bool churn = churned();
+  const uint32_t version = churn ? kFormatVersion
                           : sq8    ? kSq8FormatVersion
                                    : kFloat32FormatVersion;
   WritePod(out, kMagicV2);
@@ -474,7 +195,7 @@ Status LakeIndex::Save(const std::string& path) const {
     TSFM_CHECK(codec != nullptr);
     if (Status s = codec->Save(out); !s.ok()) return s;
   }
-  if (churned) {
+  if (churn) {
     // Churn section: how many leading table records belong to the base
     // segment, then the tombstoned handles. Placed before the records so
     // Load can replay base and delta adds into the right segments.
@@ -501,8 +222,14 @@ Status LakeIndex::Save(const std::string& path) const {
 }
 
 Result<LakeIndex> LakeIndex::Load(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
   if (!in) return Status::IoError("cannot open " + path);
+  const auto file_size = static_cast<uint64_t>(in.tellg());
+  in.seekg(0);
+  // Valid only while `in` is good (every caller has just read successfully).
+  auto bytes_left = [&] {
+    return file_size - static_cast<uint64_t>(in.tellg());
+  };
   uint32_t magic = 0;
   if (!ReadPod(in, &magic)) return Status::IoError("truncated lake index " + path);
 
@@ -553,10 +280,7 @@ Result<LakeIndex> LakeIndex::Load(const std::string& path) {
     auto codec = Sq8Codec::Load(in, dim);
     if (!codec.ok()) return codec.status();
     // Seed before the AddTable replay: every replayed (and future) row
-    // encodes through the calibration the saved index used. `index` is
-    // local and unshared, but its fields are lock-guarded, so the direct
-    // write takes the (uncontended) lock to keep the checker honest.
-    WriterMutexLock lock(&index.mu_);
+    // encodes through the calibration the saved index used.
     index.index_.SeedSq8Codec(std::move(codec).value());
   }
 
@@ -589,10 +313,20 @@ Result<LakeIndex> LakeIndex::Load(const std::string& path) {
     if (t == base_tables) index.Seal();
     uint64_t id_len = 0, num_cols = 0;
     if (!ReadPod(in, &id_len)) return Status::IoError("truncated lake index " + path);
+    // Check every length against the bytes left before allocating for it:
+    // a hostile length must be a ParseError, not a std::bad_alloc.
+    if (id_len > bytes_left()) {
+      return Status::ParseError("lake index " + path +
+                                " has a table id longer than the file");
+    }
     std::string id(id_len, '\0');
     in.read(id.data(), static_cast<std::streamsize>(id_len));
     if (!ReadPod(in, &num_cols)) {
       return Status::IoError("truncated lake index " + path);
+    }
+    if (num_cols > bytes_left() / (dim * sizeof(float))) {
+      return Status::ParseError("lake index " + path +
+                                " has more columns than the file holds");
     }
     std::vector<std::vector<float>> cols(num_cols, std::vector<float>(dim));
     for (auto& col : cols) {
@@ -603,24 +337,13 @@ Result<LakeIndex> LakeIndex::Load(const std::string& path) {
     index.AddTable(id, cols);
   }
   // Replay the tombstones directly: RemoveTable's newest-live-first rule
-  // must not reshuffle which of several same-id handles died. As above,
-  // the lock is uncontended; it exists for the checker.
-  {
-    WriterMutexLock lock(&index.mu_);
-    for (uint64_t handle : tombstones) {
-      if (handle >= index.table_ids_.size() || index.dead_[handle] != 0) {
-        return Status::ParseError("lake index " + path +
-                                  " has an invalid or duplicate tombstone");
-      }
-      index.dead_[handle] = 1;
-      ++index.dead_tables_;
-      const size_t cols = index.columns_[handle].size();
-      if (handle < index.base_tables_) {
-        index.dead_base_columns_ += cols;
-      } else {
-        index.dead_delta_columns_ += cols;
-      }
+  // must not reshuffle which of several same-id handles died.
+  for (uint64_t handle : tombstones) {
+    if (handle >= index.table_ids_.size() || index.dead_[handle] != 0) {
+      return Status::ParseError("lake index " + path +
+                                " has an invalid or duplicate tombstone");
     }
+    index.Tombstone(handle);
   }
   // A loaded lake is a serving artifact: later AddTable calls are live
   // churn and belong in the delta segment.

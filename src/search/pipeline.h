@@ -21,9 +21,8 @@ using ColumnEmbedFn =
 struct SearchRunOptions {
   IndexOptions index;      ///< ANN backend for the column index
   size_t num_threads = 0;  ///< query fan-out width; 0 = hardware concurrency
-  /// Shard count for the column index. 1 (the default) keeps the single
-  /// unsharded index; > 1 routes the corpus through ShardedLakeIndex with
-  /// scatter/gather ranking. Flat-backend results are identical either way.
+  /// Shard count of the ShardedLakeIndex the corpus is indexed in (0 is
+  /// treated as 1). Flat-backend results are identical at any count.
   size_t shards = 1;
 };
 

@@ -116,29 +116,27 @@ size_t ShardedLakeIndex::AddTable(
 
 Status ShardedLakeIndex::RemoveTable(const std::string& table_id) {
   MutexLock writer(&writer_mu_);
-  // A tombstone changes no global maps (the handle stays allocated until
-  // the next full compaction), so the shard's own locking suffices for
-  // query consistency — a shared lock here keeps the shard set pinned.
-  ReaderMutexLock lock(&mu_);
+  // Shards carry no locks of their own: the tombstone is written under
+  // this index's exclusive lock, like every other shard mutation.
+  WriterMutexLock lock(&mu_);
   return shards_[ShardOfLocked(table_id)].RemoveTable(table_id);
 }
 
 void ShardedLakeIndex::Seal() {
   MutexLock writer(&writer_mu_);
-  ReaderMutexLock lock(&mu_);
+  WriterMutexLock lock(&mu_);
   for (LakeIndex& shard : shards_) shard.Seal();
 }
 
-Status ShardedLakeIndex::Compact(double hnsw_rebuild_threshold,
-                                 ThreadPool* pool) {
+Status ShardedLakeIndex::Compact(ThreadPool* pool) {
   MutexLock writer(&writer_mu_);
 
   // Phase A, shared-lock: queries keep running against the old epoch while
-  // every churned shard that needs a full rebuild builds its compacted
-  // image (survivors re-added in insertion order — the churn-parity
-  // contract). writer_mu_ excludes mutations, so the shard state read
-  // here cannot move underneath; the shared lock makes that visible to
-  // the checker and costs nothing (readers never block readers).
+  // every churned shard builds its compacted image (survivors re-added in
+  // insertion order — the churn-parity contract). writer_mu_ excludes
+  // mutations, so the shard state read here cannot move underneath; the
+  // shared lock makes that visible to the checker and costs nothing
+  // (readers never block readers).
   std::vector<std::optional<LakeIndex::Compacted>> built;
   {
     ReaderMutexLock lock(&mu_);
@@ -148,10 +146,7 @@ Status ShardedLakeIndex::Compact(double hnsw_rebuild_threshold,
     // under the lock and capture that instead.
     const std::vector<LakeIndex>& shards = shards_;
     auto build_shard = [&](size_t s) {
-      if (shards[s].churned() &&
-          !shards[s].WouldFoldInPlace(hnsw_rebuild_threshold)) {
-        built[s] = shards[s].BuildCompacted();
-      }
+      if (shards[s].churned()) built[s] = shards[s].BuildCompacted();
     };
     if (pool != nullptr && shards.size() > 1) {
       ParallelFor(pool, 0, shards.size(), build_shard);
@@ -160,7 +155,7 @@ Status ShardedLakeIndex::Compact(double hnsw_rebuild_threshold,
     }
   }
 
-  // Phase B, exclusive: swap rebuilt shards, fold the rest in place, and
+  // Phase B, exclusive: swap rebuilt shards in, seal the rest, and
   // re-densify the global handle maps — one atomic epoch change.
   WriterMutexLock lock(&mu_);
   std::vector<std::string> new_ids;
@@ -185,10 +180,6 @@ Status ShardedLakeIndex::Compact(double hnsw_rebuild_threshold,
   for (size_t s = 0; s < shards_.size(); ++s) {
     if (built[s].has_value()) {
       shards_[s] = std::move(built[s]->index);
-    } else if (shards_[s].churned()) {
-      // HNSW under the rebuild threshold: insert deltas into the existing
-      // graph; tombstoned handles stay in the maps and stay filtered.
-      shards_[s].FoldDeltaInPlace();
     } else {
       shards_[s].Seal();
     }
@@ -251,39 +242,6 @@ bool ShardedLakeIndex::churned() const {
   return false;
 }
 
-std::vector<ColumnEmbeddingIndex::ColumnHit>
-ShardedLakeIndex::SearchColumnHitsLocked(const std::vector<float>& query,
-                                         size_t m, ThreadPool* pool) const {
-  // The search lambda runs on pool threads, invisible to this frame's
-  // shared lock; bind the guarded fields to aliases under the lock and
-  // capture those (see the concurrency contract in docs/architecture.md).
-  const std::vector<LakeIndex>& shards = shards_;
-  const std::vector<std::vector<size_t>>& to_global = to_global_;
-  std::vector<std::vector<ColumnEmbeddingIndex::ColumnHit>> per_shard(
-      shards.size());
-  auto search_shard = [&](size_t s) {
-    // Churn-aware shard search: covers base + delta, filters tombstones.
-    auto hits = shards[s].SearchColumns(query, m);
-    // Remap shard-local table handles to global handles. Local handles are
-    // assigned in insertion order, so the remap is monotone and each list
-    // stays sorted by (distance, table, column).
-    for (auto& hit : hits) hit.table_id = to_global[s][hit.table_id];
-    per_shard[s] = std::move(hits);
-  };
-  if (pool != nullptr && shards.size() > 1) {
-    ParallelFor(pool, 0, shards.size(), search_shard);
-  } else {
-    for (size_t s = 0; s < shards.size(); ++s) search_shard(s);
-  }
-  return TableRanker::MergeColumnHits(per_shard, m);
-}
-
-std::vector<ColumnEmbeddingIndex::ColumnHit> ShardedLakeIndex::SearchColumnHits(
-    const std::vector<float>& query, size_t m, ThreadPool* pool) const {
-  ReaderMutexLock lock(&mu_);
-  return SearchColumnHitsLocked(query, m, pool);
-}
-
 std::vector<std::vector<ColumnEmbeddingIndex::ColumnHit>>
 ShardedLakeIndex::SearchColumnHitsBatchLocked(
     const std::vector<std::vector<float>>& queries, size_t m,
@@ -293,13 +251,19 @@ ShardedLakeIndex::SearchColumnHitsBatchLocked(
   // table handles to global, then k-way-merge per query. ParallelFor is
   // nest-safe (util/thread_pool.h), so the shard fan-out and the
   // per-shard query-chunk fan-out share one pool.
-  // Aliases bound under the shared lock for the pool-dispatched lambda.
+  // The search lambda runs on pool threads, invisible to this frame's
+  // shared lock; bind the guarded fields to aliases under the lock and
+  // capture those (see the concurrency contract in docs/architecture.md).
   const std::vector<LakeIndex>& shards = shards_;
   const std::vector<std::vector<size_t>>& to_global = to_global_;
   std::vector<std::vector<std::vector<ColumnEmbeddingIndex::ColumnHit>>>
       per_shard(shards.size());
   auto search_shard = [&](size_t s, ThreadPool* inner) {
+    // Churn-aware shard search: covers base + delta, filters tombstones.
     auto lists = shards[s].SearchColumnsBatch(queries, m, inner);
+    // Remap shard-local table handles to global handles. Local handles are
+    // assigned in insertion order, so the remap is monotone and each list
+    // stays sorted by (distance, table, column).
     for (auto& hits : lists) {
       for (auto& hit : hits) hit.table_id = to_global[s][hit.table_id];
     }
@@ -333,32 +297,6 @@ ShardedLakeIndex::SearchColumnHitsBatch(
   return SearchColumnHitsBatchLocked(queries, m, pool);
 }
 
-std::vector<size_t> ShardedLakeIndex::RankUnionableLocked(
-    const std::vector<std::vector<float>>& query_columns, size_t k,
-    size_t exclude, ThreadPool* pool) const {
-  std::vector<std::vector<ColumnEmbeddingIndex::ColumnHit>> per_column_hits;
-  per_column_hits.reserve(query_columns.size());
-  for (const auto& qcol : query_columns) {
-    per_column_hits.push_back(SearchColumnHitsLocked(qcol, k * 3, pool));
-  }
-  return TableRanker::RankFromColumnHits(per_column_hits, exclude);
-}
-
-std::vector<size_t> ShardedLakeIndex::RankUnionable(
-    const std::vector<std::vector<float>>& query_columns, size_t k,
-    size_t exclude, ThreadPool* pool) const {
-  ReaderMutexLock lock(&mu_);
-  return RankUnionableLocked(query_columns, k, exclude, pool);
-}
-
-std::vector<size_t> ShardedLakeIndex::RankJoinable(
-    const std::vector<float>& query_column, size_t k, size_t exclude,
-    ThreadPool* pool) const {
-  ReaderMutexLock lock(&mu_);
-  return TableRanker::RankFromSingleColumnHits(
-      SearchColumnHitsLocked(query_column, k * 3, pool), exclude);
-}
-
 std::vector<std::vector<size_t>> ShardedLakeIndex::RankUnionableBatchLocked(
     const std::vector<std::vector<std::vector<float>>>& queries, size_t k,
     const std::vector<size_t>& excludes, ThreadPool* pool) const {
@@ -368,8 +306,9 @@ std::vector<std::vector<size_t>> ShardedLakeIndex::RankUnionableBatchLocked(
   };
   // Flatten every query's columns into one batched scatter so each shard
   // streams its rows once for the whole coalesced group (the multi-query
-  // scan), instead of once per query column. Hit lists are identical to
-  // per-query SearchColumnHits, so the Fig 6 ranking is unchanged.
+  // scan), instead of once per query column. The multi-query scan returns
+  // the same hit list per column as a one-column batch, so the Fig 6
+  // ranking does not depend on how queries were grouped.
   std::vector<std::vector<float>> flat;
   std::vector<size_t> offset(queries.size() + 1, 0);
   for (size_t q = 0; q < queries.size(); ++q) {
@@ -420,20 +359,12 @@ std::vector<std::vector<size_t>> ShardedLakeIndex::RankJoinableBatch(
 std::vector<std::string> ShardedLakeIndex::QueryUnionable(
     const std::vector<std::vector<float>>& query_columns, size_t k,
     ThreadPool* pool) const {
-  ReaderMutexLock lock(&mu_);
-  return RankedTableIds(
-      global_ids_,
-      RankUnionableLocked(query_columns, k, /*exclude=*/SIZE_MAX, pool), k);
+  return QueryUnionableBatch({query_columns}, k, pool)[0];
 }
 
 std::vector<std::string> ShardedLakeIndex::QueryJoinable(
     const std::vector<float>& query_column, size_t k, ThreadPool* pool) const {
-  ReaderMutexLock lock(&mu_);
-  return RankedTableIds(global_ids_,
-                        TableRanker::RankFromSingleColumnHits(
-                            SearchColumnHitsLocked(query_column, k * 3, pool),
-                            /*exclude=*/SIZE_MAX),
-                        k);
+  return QueryJoinableBatch({query_column}, k, pool)[0];
 }
 
 std::vector<std::vector<std::string>> ShardedLakeIndex::QueryUnionableBatch(

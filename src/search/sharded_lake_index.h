@@ -1,15 +1,17 @@
-// Sharded data-lake index: the LakeIndex deployment partitioned across N
-// shards so one lake can exceed a single machine's memory and build time
-// (paper Sec V scaled out; ROADMAP "Sharded LakeIndex").
+// Sharded data-lake index: the paper's deployment (Sec V) partitioned
+// across N shards so one lake can exceed a single machine's memory and
+// build time. It is the only lake type with a lifecycle and locks; a
+// single lake is a 1-shard ShardedLakeIndex.
 //
 // Tables are routed to shards by a stable hash of their string id
 // (util/hash.h StableShard), so every column of a table lives in exactly
 // one shard and the assignment survives rebuilds. Each shard owns its own
-// VectorIndex (flat or HNSW via IndexOptions). Queries scatter over all
-// shards — on a ThreadPool when one is given — and the per-shard sorted
-// candidate lists are gathered with TableRanker::MergeColumnHits (a k-way
-// heap merge) before the usual Fig 6 ranking, which makes the flat-backend
-// results bit-identical to an unsharded LakeIndex over the same corpus.
+// VectorIndex (flat or HNSW via IndexOptions). Every query — single or
+// batch — takes one path: one batched scatter over all shards (on a
+// ThreadPool when one is given), the per-shard sorted candidate lists
+// gathered with TableRanker::MergeColumnHits (a k-way heap merge), then
+// the Fig 6 ranking, which makes the flat-backend results bit-identical
+// to a single index over the same corpus at any shard count.
 //
 // On disk the index is a "LAKS" manifest (shard count, backend, metric,
 // dim, per-shard file names) next to one "LAK2" LakeIndex file per shard;
@@ -34,30 +36,31 @@ class ThreadPool;
 
 namespace tsfm::search {
 
-/// \brief A LakeIndex partitioned across shards with scatter/gather ranking.
+/// \brief A lake of LakeIndex shard segments with scatter/gather ranking.
 ///
-/// Mirrors the LakeIndex query API (string table ids in, ranked ids out)
-/// and adds handle-level Rank* entry points with an exclude id for
-/// benchmark drivers. All query methods are const-thread-safe and may
-/// overlap AddTable/RemoveTable/Compact: a query pins one epoch of the
-/// global handle maps and shard set for its whole duration (shared lock),
-/// mutations serialize behind a writer mutex and publish under brief
-/// exclusive locks, and Compact rebuilds every churned shard off-lock
-/// before swapping shards + maps in one exclusive section. The optional
-/// ThreadPool fans work out over shards (single queries) or over queries
-/// (batch entry points); results are identical to the serial path.
+/// Query API: string table ids in, ranked ids out, plus handle-level
+/// Rank*Batch entry points with exclude ids for benchmark drivers. All
+/// query methods are const-thread-safe and may overlap AddTable/
+/// RemoveTable/Compact. This class is the one lock domain of the search
+/// layer — the shards carry no locks — so a query takes one shared lock,
+/// which pins one epoch of the global handle maps and every shard for its
+/// whole duration; mutations serialize behind a writer mutex and write
+/// the shards under brief exclusive locks, and Compact rebuilds every
+/// churned shard off-lock before swapping shards + maps in one exclusive
+/// section. The optional ThreadPool fans work out over shards and query
+/// chunks; results are identical to the serial path.
 ///
-/// Like LakeIndex, each shard retains its raw column embeddings so Save
-/// can write self-contained shard files; a query-only deployment pays
-/// that memory twice (once in the shard, once in its VectorIndex).
+/// Each shard retains its raw column embeddings so Save can write
+/// self-contained shard files; a query-only deployment pays that memory
+/// twice (once in the shard, once in its VectorIndex).
 class ShardedLakeIndex {
  public:
   /// Creates an empty index of `num_shards` shards (clamped to >= 1), each
   /// owning a VectorIndex configured by `options`.
   ShardedLakeIndex(size_t dim, size_t num_shards, const IndexOptions& options = {});
 
-  /// Moves must not overlap any other operation on either operand (the
-  /// same contract as LakeIndex: a moved index re-arms fresh locks).
+  /// Moves must not overlap any other operation on either operand (a
+  /// moved index re-arms fresh locks).
   ShardedLakeIndex(ShardedLakeIndex&& other) noexcept;
   ShardedLakeIndex& operator=(ShardedLakeIndex&& other) noexcept;
   ShardedLakeIndex(const ShardedLakeIndex&) = delete;
@@ -74,7 +77,8 @@ class ShardedLakeIndex {
 
   /// Tombstones the most recently added live table named `table_id` in its
   /// owning shard. kNotFound when no live table has that id. Safe to call
-  /// concurrently with queries.
+  /// concurrently with queries (it waits for in-flight ones, as AddTable
+  /// does).
   Status RemoveTable(const std::string& table_id)
       LAKS_EXCLUDES(writer_mu_, mu_);
 
@@ -84,23 +88,22 @@ class ShardedLakeIndex {
 
   /// \brief Folds every shard's deltas + tombstones back into its base.
   ///
-  /// Rebuild shards are compacted off-lock in parallel over `pool`; the
-  /// new shards and the re-densified global handle maps are then swapped
-  /// in under one exclusive section, so concurrent queries see either the
-  /// old epoch or the new one, never a mix. HNSW shards at or under
-  /// `hnsw_rebuild_threshold` tombstone fraction fold in place (graph
-  /// insert of deltas, tombstones kept and filtered) and keep their
-  /// handles. Post-compaction flat-backend rankings are bit-identical to
-  /// a from-scratch build of the surviving tables in insertion order.
-  Status Compact(double hnsw_rebuild_threshold = 0.0,
-                 ThreadPool* pool = nullptr) LAKS_EXCLUDES(writer_mu_, mu_);
+  /// Every churned shard is rebuilt from its survivors (HNSW included: a
+  /// fresh graph) off-lock, in parallel over `pool`; the new shards and
+  /// the re-densified global handle maps are then swapped in under one
+  /// exclusive section, so concurrent queries see either the old epoch or
+  /// the new one, never a mix. Post-compaction
+  /// flat-backend rankings are bit-identical to a from-scratch build of
+  /// the surviving tables in insertion order.
+  Status Compact(ThreadPool* pool = nullptr) LAKS_EXCLUDES(writer_mu_, mu_);
 
-  /// Ranked table ids for a union/subset query (Fig 6 multi-column rank).
+  /// Ranked table ids for a union/subset query (Fig 6 multi-column rank):
+  /// a batch of one.
   std::vector<std::string> QueryUnionable(
       const std::vector<std::vector<float>>& query_columns, size_t k,
       ThreadPool* pool = nullptr) const LAKS_EXCLUDES(mu_);
 
-  /// Ranked table ids for a join query on a single column.
+  /// Ranked table ids for a join query on a single column: a batch of one.
   std::vector<std::string> QueryJoinable(const std::vector<float>& query_column,
                                          size_t k,
                                          ThreadPool* pool = nullptr) const
@@ -116,53 +119,34 @@ class ShardedLakeIndex {
       const std::vector<std::vector<float>>& query_columns, size_t k,
       ThreadPool* pool = nullptr) const LAKS_EXCLUDES(mu_);
 
-  /// \brief Handle-level union/subset ranking with an exclude handle.
+  /// \brief Handle-level union/subset ranking with exclude handles.
   ///
-  /// Returns global table handles instead of ids and drops `exclude`
-  /// (SIZE_MAX excludes nothing) — the entry point RunSearch uses, where
-  /// the query table itself is part of the corpus.
-  std::vector<size_t> RankUnionable(
-      const std::vector<std::vector<float>>& query_columns, size_t k,
-      size_t exclude, ThreadPool* pool = nullptr) const LAKS_EXCLUDES(mu_);
-
-  /// Handle-level join ranking with an exclude handle.
-  std::vector<size_t> RankJoinable(const std::vector<float>& query_column,
-                                   size_t k, size_t exclude,
-                                   ThreadPool* pool = nullptr) const
-      LAKS_EXCLUDES(mu_);
-
-  /// Batch RankUnionable; `excludes` pairs with `queries` (empty = none).
+  /// Returns global table handles instead of ids; `excludes` pairs with
+  /// `queries` (empty = none; SIZE_MAX excludes nothing) — the entry point
+  /// RunSearch uses, where each query table is itself part of the corpus.
   std::vector<std::vector<size_t>> RankUnionableBatch(
       const std::vector<std::vector<std::vector<float>>>& queries, size_t k,
       const std::vector<size_t>& excludes, ThreadPool* pool = nullptr) const
       LAKS_EXCLUDES(mu_);
 
-  /// Batch RankJoinable; `excludes` pairs with `query_columns`.
+  /// Handle-level join ranking; `excludes` pairs with `query_columns`.
   std::vector<std::vector<size_t>> RankJoinableBatch(
       const std::vector<std::vector<float>>& query_columns, size_t k,
       const std::vector<size_t>& excludes, ThreadPool* pool = nullptr) const
       LAKS_EXCLUDES(mu_);
 
-  /// \brief Raw scatter/gather: the global top-`m` column hits for one query.
-  ///
-  /// Scatters the column search over all shards, remaps shard-local table
-  /// handles to global handles, and k-way-merges the sorted per-shard lists
-  /// (TableRanker::MergeColumnHits). This is the half of a query below the
-  /// Fig 6 ranking — exposed so a serving layer can answer SHARD_QUERY
-  /// frames for a distributed coordinator, which gathers hits from many
-  /// worker processes and runs the exact same ranking code on top.
-  std::vector<ColumnEmbeddingIndex::ColumnHit> SearchColumnHits(
-      const std::vector<float>& query, size_t m,
-      ThreadPool* pool = nullptr) const LAKS_EXCLUDES(mu_);
-
-  /// \brief Batched SearchColumnHits: one scatter per shard for the whole
-  /// query batch.
+  /// \brief Raw scatter/gather: the global top-`m` column hits per query.
   ///
   /// Each shard answers ALL queries through one SearchColumnsBatch call —
   /// on flat backends that is the multi-query mini-GEMM scan, so each
   /// shard's rows stream from memory once per batch instead of once per
-  /// query. Shards (and the per-shard query chunks) fan out over `pool`
-  /// when given. Result q is identical to SearchColumnHits(query q, m).
+  /// query. Shard-local table handles are remapped to global handles and
+  /// the sorted per-shard lists k-way-merged (TableRanker::MergeColumnHits).
+  /// Shards (and the per-shard query chunks) fan out over `pool` when
+  /// given. This is the half of a query below the Fig 6 ranking — exposed
+  /// so a serving layer can answer SHARD_QUERY frames for a distributed
+  /// coordinator, which gathers hits from many worker processes and runs
+  /// the exact same ranking code on top.
   std::vector<std::vector<ColumnEmbeddingIndex::ColumnHit>>
   SearchColumnHitsBatch(const std::vector<std::vector<float>>& queries,
                         size_t m, ThreadPool* pool = nullptr) const
@@ -202,8 +186,9 @@ class ShardedLakeIndex {
   size_t num_tables() const LAKS_EXCLUDES(mu_);
   /// Tables a query can still return.
   size_t num_live_tables() const LAKS_EXCLUDES(mu_);
-  /// Total column count across all shards (the ceiling on SearchColumnHits
-  /// results — a serving layer clamps hostile `m` to it).
+  /// Total column count across all shards (the ceiling on
+  /// SearchColumnHitsBatch results — a serving layer clamps hostile `m`
+  /// to it).
   size_t num_columns() const LAKS_EXCLUDES(mu_);
   size_t dim() const { return dim_; }
   const IndexOptions& options() const { return options_; }
@@ -224,8 +209,7 @@ class ShardedLakeIndex {
   size_t pending_delta_tables() const LAKS_EXCLUDES(mu_);
   /// Tombstoned-but-not-yet-compacted tables across all shards.
   size_t pending_tombstones() const LAKS_EXCLUDES(mu_);
-  /// Completed Compact calls on this sharded index (shard-internal folds
-  /// triggered through this index count once, not per shard).
+  /// Completed Compact calls on this index.
   uint64_t compactions() const LAKS_EXCLUDES(mu_);
   /// True when any shard carries pending deltas or tombstones.
   bool churned() const LAKS_EXCLUDES(mu_);
@@ -242,16 +226,10 @@ class ShardedLakeIndex {
   size_t ShardOfLocked(const std::string& table_id) const
       LAKS_REQUIRES_SHARED(mu_);
 
-  std::vector<ColumnEmbeddingIndex::ColumnHit> SearchColumnHitsLocked(
-      const std::vector<float>& query, size_t m, ThreadPool* pool) const
-      LAKS_REQUIRES_SHARED(mu_);
   std::vector<std::vector<ColumnEmbeddingIndex::ColumnHit>>
   SearchColumnHitsBatchLocked(const std::vector<std::vector<float>>& queries,
                               size_t m, ThreadPool* pool) const
       LAKS_REQUIRES_SHARED(mu_);
-  std::vector<size_t> RankUnionableLocked(
-      const std::vector<std::vector<float>>& query_columns, size_t k,
-      size_t exclude, ThreadPool* pool) const LAKS_REQUIRES_SHARED(mu_);
   std::vector<std::vector<size_t>> RankUnionableBatchLocked(
       const std::vector<std::vector<std::vector<float>>>& queries, size_t k,
       const std::vector<size_t>& excludes, ThreadPool* pool) const
@@ -261,7 +239,8 @@ class ShardedLakeIndex {
       const std::vector<size_t>& excludes, ThreadPool* pool) const
       LAKS_REQUIRES_SHARED(mu_);
 
-  // Lock order: writer_mu_ before mu_ (before any shard's own locks).
+  // The search layer's one lock domain; shards carry no locks.
+  // Lock order: writer_mu_ before mu_.
   // Queries hold mu_ shared across the whole scatter + merge + rank so the
   // maps and shard set they read belong to one epoch; mutations take
   // writer_mu_, then mu_ exclusive only for the brief publish step.
@@ -278,7 +257,7 @@ class ShardedLakeIndex {
   IndexOptions options_;
   // The vector structure (element count) only changes pre-publication; a
   // compaction swaps *elements* under an exclusive lock, which is why the
-  // whole vector is guarded. Each element also carries its own locks.
+  // whole vector is guarded, and so is every shard's state.
   std::vector<LakeIndex> shards_ LAKS_GUARDED_BY(mu_);
   // handle -> id
   std::vector<std::string> global_ids_ LAKS_GUARDED_BY(mu_);

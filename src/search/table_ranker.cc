@@ -1,8 +1,6 @@
 #include "search/table_ranker.h"
 
 #include <algorithm>
-#include <cstdint>
-#include <iterator>
 #include <queue>
 #include <tuple>
 #include <unordered_map>
@@ -10,7 +8,6 @@
 
 #include "search/knn_index.h"
 #include "util/logging.h"
-#include "util/thread_pool.h"
 
 namespace tsfm::search {
 
@@ -48,16 +45,6 @@ void ColumnEmbeddingIndex::AddTable(size_t table_id,
     index_->Add(column_of_.size(), columns[c]);
     column_of_.emplace_back(table_id, c);
   }
-}
-
-std::vector<ColumnEmbeddingIndex::ColumnHit> ColumnEmbeddingIndex::SearchColumns(
-    const std::vector<float>& query, size_t k) const {
-  std::vector<ColumnHit> hits;
-  for (const auto& [payload, dist] : index_->Search(query, k)) {
-    const auto& [table, col] = column_of_[payload];
-    hits.push_back({table, col, dist});
-  }
-  return hits;
 }
 
 std::vector<std::vector<ColumnEmbeddingIndex::ColumnHit>>
@@ -170,68 +157,6 @@ std::vector<size_t> TableRanker::RankFromSingleColumnHits(
   ranked.reserve(order.size());
   for (const auto& [table, dist] : order) ranked.push_back(table);
   return ranked;
-}
-
-std::vector<size_t> TableRanker::RankTables(
-    const std::vector<std::vector<float>>& query_columns, size_t k,
-    size_t exclude) const {
-  std::vector<std::vector<ColumnEmbeddingIndex::ColumnHit>> per_column_hits;
-  per_column_hits.reserve(query_columns.size());
-  for (const auto& qcol : query_columns) {
-    per_column_hits.push_back(index_->SearchColumns(qcol, k * 3));
-  }
-  return RankFromColumnHits(per_column_hits, exclude);
-}
-
-std::vector<size_t> TableRanker::RankTablesByColumn(
-    const std::vector<float>& query_column, size_t k, size_t exclude) const {
-  return RankFromSingleColumnHits(index_->SearchColumns(query_column, k * 3),
-                                  exclude);
-}
-
-std::vector<std::vector<size_t>> TableRanker::RankTablesBatch(
-    const std::vector<std::vector<std::vector<float>>>& queries, size_t k,
-    const std::vector<size_t>& excludes, ThreadPool* pool) const {
-  std::vector<std::vector<size_t>> results(queries.size());
-  auto exclude_of = [&](size_t q) {
-    return q < excludes.size() ? excludes[q] : SIZE_MAX;
-  };
-  // Flatten every query's columns into ONE column-search batch so the
-  // whole coalesced group reaches the index's multi-query scan together —
-  // batching per query would hand the kernel tiles of one or two columns.
-  // Per-column hit lists are bit-identical to per-query SearchColumns
-  // (SearchBatch guarantees it), so the per-query ranking is unchanged.
-  std::vector<std::vector<float>> flat;
-  std::vector<size_t> offset(queries.size() + 1, 0);
-  for (size_t q = 0; q < queries.size(); ++q) {
-    offset[q + 1] = offset[q] + queries[q].size();
-  }
-  flat.reserve(offset.back());
-  for (const auto& query : queries) {
-    flat.insert(flat.end(), query.begin(), query.end());
-  }
-  auto hits = index_->SearchColumnsBatch(flat, k * 3, pool);
-  for (size_t q = 0; q < queries.size(); ++q) {
-    std::vector<std::vector<ColumnEmbeddingIndex::ColumnHit>> per_column(
-        std::make_move_iterator(hits.begin() + offset[q]),
-        std::make_move_iterator(hits.begin() + offset[q + 1]));
-    results[q] = RankFromColumnHits(per_column, exclude_of(q));
-  }
-  return results;
-}
-
-std::vector<std::vector<size_t>> TableRanker::RankTablesByColumnBatch(
-    const std::vector<std::vector<float>>& query_columns, size_t k,
-    const std::vector<size_t>& excludes, ThreadPool* pool) const {
-  std::vector<std::vector<size_t>> results(query_columns.size());
-  auto exclude_of = [&](size_t q) {
-    return q < excludes.size() ? excludes[q] : SIZE_MAX;
-  };
-  auto hits = index_->SearchColumnsBatch(query_columns, k * 3, pool);
-  for (size_t q = 0; q < query_columns.size(); ++q) {
-    results[q] = RankFromSingleColumnHits(hits[q], exclude_of(q));
-  }
-  return results;
 }
 
 }  // namespace tsfm::search

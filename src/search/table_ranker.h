@@ -6,7 +6,10 @@
 //   RANK2 = sum of column distances (ascending tie-break)
 //
 // The corpus sits behind a pluggable VectorIndex (exact flat scan or HNSW);
-// batch entry points fan independent queries out over a ThreadPool.
+// the batch search fans independent queries out over a ThreadPool. The
+// ranking itself is a set of static functions over hit lists, so every
+// query path (ShardedLakeIndex, DistributedLakeIndex) ranks through the
+// exact same code.
 #ifndef TSFM_SEARCH_TABLE_RANKER_H_
 #define TSFM_SEARCH_TABLE_RANKER_H_
 
@@ -38,10 +41,9 @@ class ColumnEmbeddingIndex {
     size_t column_index;
     float distance;
   };
-  std::vector<ColumnHit> SearchColumns(const std::vector<float>& query,
-                                       size_t k) const;
 
-  /// One SearchColumns result per query, fanned out over `pool` when given.
+  /// The `k` nearest column hits per query, sorted by (distance, table,
+  /// column); fanned out over `pool` when given.
   std::vector<std::vector<ColumnHit>> SearchColumnsBatch(
       const std::vector<std::vector<float>>& queries, size_t k,
       ThreadPool* pool = nullptr) const;
@@ -69,19 +71,17 @@ class ColumnEmbeddingIndex {
 
 /// \brief Fig 6 ranking of corpus tables for a query table.
 ///
-/// The instance methods search one ColumnEmbeddingIndex and rank; the
-/// static methods expose the two halves separately — a k-way merge of
-/// pre-sorted per-shard hit lists and the RANK1/RANK2 aggregation over hit
-/// lists — so ShardedLakeIndex can scatter the search across shards and
-/// gather through the exact same ranking code.
+/// Two halves, both static: a k-way merge of pre-sorted per-shard hit
+/// lists and the RANK1/RANK2 aggregation over hit lists — so
+/// ShardedLakeIndex can scatter the search across shards and gather
+/// through the exact same ranking code. Callers over-retrieve k*3
+/// candidate columns per query column, as in the paper.
 class TableRanker {
  public:
-  explicit TableRanker(const ColumnEmbeddingIndex* index) : index_(index) {}
-
   /// \brief K-way heap merge of sorted candidate lists into the global top-k.
   ///
   /// Each input list must be sorted ascending by (distance, table_id,
-  /// column_index) — the order SearchColumns produces. The result equals
+  /// column_index) — the order SearchColumnsBatch produces. The result equals
   /// sorting the concatenation of all lists by that key and truncating to
   /// `k`, and is invariant to the order of the input lists as long as no
   /// (table_id, column_index) pair appears twice (shards partition columns,
@@ -105,34 +105,6 @@ class TableRanker {
   /// column among `hits`, ties broken by table id.
   static std::vector<size_t> RankFromSingleColumnHits(
       const std::vector<ColumnEmbeddingIndex::ColumnHit>& hits, size_t exclude);
-
-  /// Ranks corpus tables for a query represented by its column embeddings.
-  /// `k` is the target result count; each column over-retrieves k*3
-  /// candidates as in the paper. `exclude` (usually the query's own id) is
-  /// dropped from results.
-  std::vector<size_t> RankTables(const std::vector<std::vector<float>>& query_columns,
-                                 size_t k, size_t exclude) const;
-
-  /// Join-search variant: a single query column; tables ranked by their
-  /// closest column distance.
-  std::vector<size_t> RankTablesByColumn(const std::vector<float>& query_column,
-                                         size_t k, size_t exclude) const;
-
-  /// \brief Batch union/subset ranking: one RankTables result per query.
-  ///
-  /// `excludes` pairs with `queries` (empty means exclude nothing anywhere).
-  /// Queries fan out over `pool` when given; results match the serial loop.
-  std::vector<std::vector<size_t>> RankTablesBatch(
-      const std::vector<std::vector<std::vector<float>>>& queries, size_t k,
-      const std::vector<size_t>& excludes, ThreadPool* pool = nullptr) const;
-
-  /// Batch join ranking: one RankTablesByColumn result per query column.
-  std::vector<std::vector<size_t>> RankTablesByColumnBatch(
-      const std::vector<std::vector<float>>& query_columns, size_t k,
-      const std::vector<size_t>& excludes, ThreadPool* pool = nullptr) const;
-
- private:
-  const ColumnEmbeddingIndex* index_;
 };
 
 }  // namespace tsfm::search

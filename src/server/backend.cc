@@ -68,10 +68,9 @@ Status InProcessBackend::RemoveTable(const std::string& table_id) {
 }
 
 Status InProcessBackend::Compact(ThreadPool* pool) {
-  // Wire-driven compaction always rebuilds churned shards from scratch
-  // (threshold 0): a coordinator fronting this worker mirrors the handle
-  // remap locally, which is deterministic only for the full rebuild.
-  return index_.Compact(/*hnsw_rebuild_threshold=*/0.0, pool);
+  // Compaction rebuilds churned shards from scratch, so a coordinator
+  // fronting this worker can mirror the handle remap locally.
+  return index_.Compact(pool);
 }
 
 LakeBackend::ChurnCounters InProcessBackend::Churn() const {

@@ -4,21 +4,28 @@
 #include <fstream>
 
 #include "search/lake_index.h"
+#include "search/sharded_lake_index.h"
 #include "util/thread_pool.h"
 
 namespace tsfm::search {
 namespace {
 
-LakeIndex MakeToyIndex() {
-  LakeIndex index(3);
+// LakeIndex is the shard segment and file codec; queries go through the
+// lake that owns it, here a 1-shard ShardedLakeIndex.
+LakeIndex MakeToyIndex(const IndexOptions& options = {}) {
+  LakeIndex index(3, options);
   index.AddTable("sales_q1", {{1, 0, 0}, {0, 1, 0}});
   index.AddTable("sales_q2", {{0.9f, 0.1f, 0}, {0, 0.9f, 0.1f}});
   index.AddTable("weather", {{0, 0, 1}});
   return index;
 }
 
+ShardedLakeIndex MakeToyLake() {
+  return ShardedLakeIndex::FromSingle(MakeToyIndex());
+}
+
 TEST(LakeIndexTest, JoinQueryRanksByNearestColumn) {
-  LakeIndex index = MakeToyIndex();
+  ShardedLakeIndex index = MakeToyLake();
   auto ranked = index.QueryJoinable({1, 0, 0}, 3);
   ASSERT_GE(ranked.size(), 2u);
   EXPECT_EQ(ranked[0], "sales_q1");
@@ -26,7 +33,7 @@ TEST(LakeIndexTest, JoinQueryRanksByNearestColumn) {
 }
 
 TEST(LakeIndexTest, UnionQueryUsesAllColumns) {
-  LakeIndex index = MakeToyIndex();
+  ShardedLakeIndex index = MakeToyLake();
   auto ranked = index.QueryUnionable({{1, 0, 0}, {0, 1, 0}}, 3);
   ASSERT_GE(ranked.size(), 2u);
   // sales_q1 matches both query columns exactly.
@@ -34,7 +41,7 @@ TEST(LakeIndexTest, UnionQueryUsesAllColumns) {
 }
 
 TEST(LakeIndexTest, RespectsK) {
-  LakeIndex index = MakeToyIndex();
+  ShardedLakeIndex index = MakeToyLake();
   EXPECT_LE(index.QueryJoinable({1, 0, 0}, 1).size(), 1u);
 }
 
@@ -43,7 +50,7 @@ TEST(LakeIndexTest, SaveLoadRoundTrip) {
   std::string path = testing::TempDir() + "/tsfm_lake_index.bin";
   ASSERT_TRUE(index.Save(path).ok());
 
-  auto loaded = LakeIndex::Load(path);
+  auto loaded = ShardedLakeIndex::Load(path);
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(loaded.value().num_tables(), 3u);
   EXPECT_EQ(loaded.value().dim(), 3u);
@@ -58,14 +65,11 @@ TEST(LakeIndexTest, SaveLoadRoundTripBothBackends) {
     IndexOptions options;
     options.backend = backend;
     options.hnsw.ef_search = 96;
-    LakeIndex index(3, options);
-    index.AddTable("sales_q1", {{1, 0, 0}, {0, 1, 0}});
-    index.AddTable("sales_q2", {{0.9f, 0.1f, 0}, {0, 0.9f, 0.1f}});
-    index.AddTable("weather", {{0, 0, 1}});
+    LakeIndex index = MakeToyIndex(options);
 
     std::string path = testing::TempDir() + "/tsfm_lake_backend.bin";
     ASSERT_TRUE(index.Save(path).ok());
-    auto loaded = LakeIndex::Load(path);
+    auto loaded = ShardedLakeIndex::Load(path);
     ASSERT_TRUE(loaded.ok());
     // The backend choice survives the file format round trip.
     EXPECT_EQ(loaded.value().options().backend, backend);
@@ -81,14 +85,12 @@ TEST(LakeIndexTest, SaveLoadRoundTripBothBackends) {
 TEST(LakeIndexTest, Sq8SaveLoadRoundTrip) {
   IndexOptions options;
   options.storage = Storage::kSq8;
-  LakeIndex index(3, options);
-  index.AddTable("sales_q1", {{1, 0, 0}, {0, 1, 0}});
-  index.AddTable("sales_q2", {{0.9f, 0.1f, 0}, {0, 0.9f, 0.1f}});
-  index.AddTable("weather", {{0, 0, 1}});
+  LakeIndex segment = MakeToyIndex(options);
 
   std::string path = testing::TempDir() + "/tsfm_lake_sq8.bin";
-  ASSERT_TRUE(index.Save(path).ok());
-  auto loaded = LakeIndex::Load(path);
+  ASSERT_TRUE(segment.Save(path).ok());
+  const ShardedLakeIndex index = ShardedLakeIndex::FromSingle(std::move(segment));
+  auto loaded = ShardedLakeIndex::Load(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded.value().options().storage, Storage::kSq8);
   EXPECT_EQ(loaded.value().num_tables(), 3u);
@@ -108,14 +110,15 @@ TEST(LakeIndexTest, Sq8RoundTripFaithfulAfterPostTrainingAdds) {
   // produced a different calibration.
   IndexOptions options;
   options.storage = Storage::kSq8;
-  LakeIndex index(3, options);
-  index.AddTable("sales_q1", {{1, 0, 0}, {0, 1, 0}});
-  (void)index.QueryJoinable({1, 0, 0}, 1);  // trains the codec
-  index.AddTable("outlier", {{9, -9, 9}});  // outside the calibrated range
+  LakeIndex segment(3, options);
+  segment.AddTable("sales_q1", {{1, 0, 0}, {0, 1, 0}});
+  (void)segment.SearchColumnsBatch({{1, 0, 0}}, 1);  // trains the codec
+  segment.AddTable("outlier", {{9, -9, 9}});  // outside the calibrated range
 
   std::string path = testing::TempDir() + "/tsfm_lake_sq8_posttrain.bin";
-  ASSERT_TRUE(index.Save(path).ok());
-  auto loaded = LakeIndex::Load(path);
+  ASSERT_TRUE(segment.Save(path).ok());
+  const ShardedLakeIndex index = ShardedLakeIndex::FromSingle(std::move(segment));
+  auto loaded = ShardedLakeIndex::Load(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   for (const std::vector<float> q :
        {std::vector<float>{1, 0, 0}, {9, -9, 9}}) {
@@ -164,7 +167,7 @@ TEST(LakeIndexTest, LoadsLegacyHeaderlessFormat) {
                 static_cast<std::streamsize>(col.size() * sizeof(float)));
     }
   }
-  auto loaded = LakeIndex::Load(path);
+  auto loaded = ShardedLakeIndex::Load(path);
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(loaded.value().options().backend, search::IndexBackend::kFlat);
   EXPECT_EQ(loaded.value().num_tables(), 2u);
@@ -175,7 +178,7 @@ TEST(LakeIndexTest, LoadsLegacyHeaderlessFormat) {
 }
 
 TEST(LakeIndexTest, BatchQueriesMatchSerial) {
-  LakeIndex index = MakeToyIndex();
+  ShardedLakeIndex index = MakeToyLake();
   std::vector<std::vector<float>> join_queries = {
       {1, 0, 0}, {0, 1, 0}, {0, 0, 1}};
   std::vector<std::vector<std::vector<float>>> union_queries = {
@@ -193,6 +196,29 @@ TEST(LakeIndexTest, BatchQueriesMatchSerial) {
   }
 }
 
+// A valid version-2 "LAK2" header (flat, cosine, dim 4) and one table
+// record whose id length and column count come from the caller.
+void WriteHostileTableRecord(const std::string& path, uint64_t id_len,
+                             const std::string& id, uint64_t num_cols) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  auto put = [&](auto value) {
+    out.write(reinterpret_cast<const char*>(&value), sizeof(value));
+  };
+  put(uint32_t{0x4c414b32});  // "LAK2"
+  put(uint32_t{2});           // version
+  put(uint32_t{0});           // backend: flat
+  put(uint32_t{0});           // metric: cosine
+  for (uint64_t hnsw_knob : {16, 200, 64, 42}) put(hnsw_knob);
+  put(uint64_t{4});  // dim
+  put(uint64_t{1});  // num_tables
+  put(id_len);
+  out.write(id.data(), static_cast<std::streamsize>(id.size()));
+  put(num_cols);
+  const std::vector<float> col(4, 0.5f);
+  out.write(reinterpret_cast<const char*>(col.data()),
+            static_cast<std::streamsize>(col.size() * sizeof(float)));
+}
+
 TEST(LakeIndexTest, LoadRejectsGarbage) {
   std::string path = testing::TempDir() + "/tsfm_lake_garbage.bin";
   {
@@ -200,6 +226,19 @@ TEST(LakeIndexTest, LoadRejectsGarbage) {
     out << "garbage bytes here";
   }
   EXPECT_FALSE(LakeIndex::Load(path).ok());
+  // Hostile lengths in an otherwise well-formed ~100-byte file must be a
+  // ParseError, not an allocation the size of the claim.
+  WriteHostileTableRecord(path, uint64_t{1} << 61, "", 1);
+  auto long_id = LakeIndex::Load(path);
+  EXPECT_EQ(long_id.status().code(), StatusCode::kParseError)
+      << long_id.status().ToString();
+  WriteHostileTableRecord(path, 3, "abc", uint64_t{1} << 40);
+  auto many_cols = LakeIndex::Load(path);
+  EXPECT_EQ(many_cols.status().code(), StatusCode::kParseError)
+      << many_cols.status().ToString();
+  // Sanity: the same record with honest lengths loads.
+  WriteHostileTableRecord(path, 3, "abc", 1);
+  EXPECT_TRUE(LakeIndex::Load(path).ok());
   std::remove(path.c_str());
 }
 
@@ -208,7 +247,7 @@ TEST(LakeIndexTest, LoadRejectsMissingFile) {
 }
 
 TEST(LakeIndexTest, EmptyIndexQueriesAreEmpty) {
-  LakeIndex index(4);
+  ShardedLakeIndex index = ShardedLakeIndex::FromSingle(LakeIndex(4));
   EXPECT_TRUE(index.QueryJoinable({1, 0, 0, 0}, 5).empty());
   EXPECT_TRUE(index.QueryUnionable({{1, 0, 0, 0}}, 5).empty());
 }

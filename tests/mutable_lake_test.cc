@@ -1,9 +1,10 @@
 // Mutable lakes (ROADMAP "Mutable lakes"): live AddTable/RemoveTable
-// churn against sealed LakeIndex/ShardedLakeIndex, the delta/tombstone/
-// compaction lifecycle, churn-parity with a from-scratch rebuild, the
-// LAK2 v4 / LAKS v3 persistence gates, snapshot-consistent queries during
-// compaction, and the serving stack's v3 mutation opcodes end to end
-// (in-process server, auto-compaction, and the distributed coordinator).
+// churn against sealed LakeIndex segments and ShardedLakeIndex, the
+// delta/tombstone/compaction lifecycle, churn-parity with a from-scratch
+// rebuild, the LAK2 v4 / LAKS v3 persistence gates, snapshot-consistent
+// queries during compaction, and the serving stack's v3 mutation opcodes
+// end to end (in-process server, auto-compaction, and the distributed
+// coordinator).
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -64,6 +65,13 @@ LakeIndex BuildLake(const Corpus& corpus, size_t dim,
     index.AddTable(corpus.ids[t], corpus.tables[t]);
   }
   return index;
+}
+
+// A LakeIndex segment served as a 1-shard lake: queries and Compact live
+// on ShardedLakeIndex.
+ShardedLakeIndex ServeLake(const Corpus& corpus, size_t dim,
+                           const IndexOptions& options = {}) {
+  return ShardedLakeIndex::FromSingle(BuildLake(corpus, dim, options));
 }
 
 ShardedLakeIndex BuildShardedLake(const Corpus& corpus, size_t dim,
@@ -191,7 +199,7 @@ TEST(MutableLakeTest, RemoveTableKillsNewestLiveAndReportsNotFound) {
 TEST(MutableLakeTest, PostSealAddsAndRemovesAreVisibleImmediately) {
   const size_t dim = 8;
   Corpus corpus = MakeCorpus(10, dim, 23);
-  LakeIndex index = BuildLake(corpus, dim);
+  ShardedLakeIndex index = ServeLake(corpus, dim);
   index.Seal();
 
   // A delta table whose column *is* the probe ranks first instantly.
@@ -216,12 +224,12 @@ TEST(MutableLakeTest, FlatChurnParityHoldsEvenBeforeCompaction) {
   const size_t dim = 16;
   Corpus corpus = MakeCorpus(40, dim, 25);
   ChurnScript script = MakeChurnScript(dim, 26);
-  LakeIndex churned = BuildLake(corpus, dim);
+  ShardedLakeIndex churned = ServeLake(corpus, dim);
   churned.Seal();
   ApplyScript(&churned, script);
 
   Corpus survivors = Survivors(corpus, script);
-  LakeIndex rebuilt = BuildLake(survivors, dim);
+  ShardedLakeIndex rebuilt = ServeLake(survivors, dim);
   for (const auto& q : corpus.join_queries) {
     EXPECT_EQ(churned.QueryJoinable(q, 5), rebuilt.QueryJoinable(q, 5));
   }
@@ -238,7 +246,7 @@ TEST(MutableLakeTest, CompactRestoresParityForFloat32AndSq8) {
   for (auto storage : {Storage::kFloat32, Storage::kSq8}) {
     IndexOptions options;
     options.storage = storage;
-    LakeIndex index = BuildLake(corpus, dim, options);
+    ShardedLakeIndex index = ServeLake(corpus, dim, options);
     index.Seal();
     ApplyScript(&index, script);
     EXPECT_TRUE(index.churned());
@@ -255,7 +263,7 @@ TEST(MutableLakeTest, CompactRestoresParityForFloat32AndSq8) {
     for (size_t h = 0; h < survivors.ids.size(); ++h) {
       EXPECT_EQ(index.table_id(h), survivors.ids[h]);
     }
-    LakeIndex rebuilt = BuildLake(survivors, dim, options);
+    ShardedLakeIndex rebuilt = ServeLake(survivors, dim, options);
     for (const auto& q : corpus.join_queries) {
       EXPECT_EQ(index.QueryJoinable(q, 5), rebuilt.QueryJoinable(q, 5));
     }
@@ -272,15 +280,17 @@ TEST(MutableLakeTest, ChurnedSaveWritesV4AndRoundTrips) {
   for (auto storage : {Storage::kFloat32, Storage::kSq8}) {
     IndexOptions options;
     options.storage = storage;
-    LakeIndex index = BuildLake(corpus, dim, options);
-    index.Seal();
-    ApplyScript(&index, script);
+    LakeIndex segment = BuildLake(corpus, dim, options);
+    segment.Seal();
+    ApplyScript(&segment, script);
 
     TempFile file("mutable_churned_v4.lak2");
-    ASSERT_TRUE(index.Save(file.path()).ok());
+    ASSERT_TRUE(segment.Save(file.path()).ok());
     EXPECT_EQ(FileVersion(file.path()), 4u);
+    const ShardedLakeIndex index =
+        ShardedLakeIndex::FromSingle(std::move(segment));
 
-    auto loaded = LakeIndex::Load(file.path());
+    auto loaded = ShardedLakeIndex::Load(file.path());
     ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
     EXPECT_EQ(loaded.value().num_tables(), index.num_tables());
     EXPECT_EQ(loaded.value().num_live_tables(), index.num_live_tables());
@@ -328,36 +338,28 @@ TEST(MutableLakeTest, NewerOrTruncatedChurnFilesRejectedCleanly) {
   }
 }
 
-TEST(MutableLakeTest, HnswFoldsInPlaceUnderThresholdThenRebuilds) {
+TEST(MutableLakeTest, HnswCompactRebuildsTheGraph) {
   const size_t dim = 16, k = 10;
   Corpus corpus = MakeCorpus(200, dim, 34);
   ChurnScript script = MakeChurnScript(dim, 35);
   IndexOptions hnsw;
   hnsw.backend = IndexBackend::kHnsw;
   hnsw.hnsw.ef_search = 128;
-  LakeIndex index = BuildLake(corpus, dim, hnsw);
+  ShardedLakeIndex index = ServeLake(corpus, dim, hnsw);
   index.Seal();
   ApplyScript(&index, script);
-  const size_t tombstones = index.pending_tombstones();
-  ASSERT_GT(tombstones, 0u);
+  ASSERT_GT(index.pending_tombstones(), 0u);
 
-  // Dead fraction is well under 0.5: fold in place. Deltas enter the
-  // graph; tombstones stay (still filtered at query time).
-  ASSERT_TRUE(index.WouldFoldInPlace(0.5));
-  ASSERT_TRUE(index.Compact(/*hnsw_rebuild_threshold=*/0.5).ok());
-  EXPECT_EQ(index.pending_delta_tables(), 0u);
-  EXPECT_EQ(index.pending_tombstones(), tombstones);
-  EXPECT_EQ(index.compactions(), 1u);
-
-  // The default threshold forces the full graph rebuild: handles densify
+  // Compact always rebuilds the graph from the survivors: handles densify
   // and the acceptance bar is recall@10 >= 0.95 against flat gold over
   // the survivors.
   ASSERT_TRUE(index.Compact().ok());
+  EXPECT_EQ(index.pending_delta_tables(), 0u);
   EXPECT_EQ(index.pending_tombstones(), 0u);
-  EXPECT_EQ(index.compactions(), 2u);
+  EXPECT_EQ(index.compactions(), 1u);
   Corpus survivors = Survivors(corpus, script);
   EXPECT_EQ(index.num_tables(), survivors.tables.size());
-  LakeIndex flat_gold = BuildLake(survivors, dim);
+  ShardedLakeIndex flat_gold = ServeLake(survivors, dim);
   double recall_sum = 0;
   for (const auto& q : corpus.join_queries) {
     auto gold = flat_gold.QueryJoinable(q, k);
@@ -378,7 +380,7 @@ TEST(MutableLakeTest, ShardedChurnParityAcrossShardCountsAndStorage) {
   for (auto storage : {Storage::kFloat32, Storage::kSq8}) {
     IndexOptions options;
     options.storage = storage;
-    LakeIndex rebuilt_gold = BuildLake(survivors, dim, options);
+    ShardedLakeIndex rebuilt_gold = ServeLake(survivors, dim, options);
     for (size_t shards : {size_t{1}, size_t{2}, size_t{4}}) {
       ShardedLakeIndex index = BuildShardedLake(corpus, dim, shards, options);
       index.Seal();
@@ -392,7 +394,7 @@ TEST(MutableLakeTest, ShardedChurnParityAcrossShardCountsAndStorage) {
               << shards << " shards, pre-compaction";
         }
       }
-      ASSERT_TRUE(index.Compact(/*hnsw_rebuild_threshold=*/0.0, &pool).ok());
+      ASSERT_TRUE(index.Compact(&pool).ok());
       EXPECT_EQ(index.num_tables(), survivors.tables.size());
       EXPECT_EQ(index.pending_tombstones(), 0u);
       EXPECT_EQ(index.compactions(), 1u);
@@ -499,6 +501,10 @@ TEST(MutableLakeTest, QueriesDuringCompactionSeeExactlyOneEpoch) {
       if (!known) break;
     }
   });
+  // On a loaded machine the mutator can finish every op below before the
+  // querier is first scheduled; wait for its first result so the race is
+  // real.
+  while (checked.load() == 0) std::this_thread::yield();
   for (const auto& [id, cols] : script.adds) {
     index.AddTable(id, cols);
     std::this_thread::yield();

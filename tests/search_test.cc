@@ -8,6 +8,7 @@
 #include "search/knn_index.h"
 #include "search/metrics.h"
 #include "search/pipeline.h"
+#include "search/sharded_lake_index.h"
 #include "search/table_ranker.h"
 #include "search/vector_index.h"
 #include "util/random.h"
@@ -244,13 +245,29 @@ TEST(VectorIndexTest, LoadRejectsGarbageStream) {
 
 // ------------------------------------------------------------ TableRanker
 
+// Fig 6 union ranking straight over one ColumnEmbeddingIndex: one batched
+// search for the query's columns, k*3 candidates each, then the statics.
+std::vector<size_t> RankTables(const ColumnEmbeddingIndex& index,
+                               const std::vector<std::vector<float>>& query,
+                               size_t k, size_t exclude) {
+  return TableRanker::RankFromColumnHits(index.SearchColumnsBatch(query, k * 3),
+                                         exclude);
+}
+
+// Join variant: a single query column.
+std::vector<size_t> RankTablesByColumn(const ColumnEmbeddingIndex& index,
+                                       const std::vector<float>& query,
+                                       size_t k, size_t exclude) {
+  return TableRanker::RankFromSingleColumnHits(
+      index.SearchColumnsBatch({query}, k * 3)[0], exclude);
+}
+
 TEST(TableRankerTest, Rank1CountsMatchedColumns) {
   // Table 100 matches both query columns, table 200 only one.
   ColumnEmbeddingIndex index(2);
   index.AddTable(100, {{1, 0}, {0, 1}});
   index.AddTable(200, {{1, 0}, {0.7f, 0.7f}});
-  TableRanker ranker(&index);
-  auto ranked = ranker.RankTables({{1, 0}, {0, 1}}, 2, /*exclude=*/999);
+  auto ranked = RankTables(index, {{1, 0}, {0, 1}}, 2, /*exclude=*/999);
   ASSERT_GE(ranked.size(), 2u);
   EXPECT_EQ(ranked[0], 100u);
 }
@@ -259,8 +276,7 @@ TEST(TableRankerTest, ExcludesQueryTable) {
   ColumnEmbeddingIndex index(2);
   index.AddTable(1, {{1, 0}});
   index.AddTable(2, {{1, 0}});
-  TableRanker ranker(&index);
-  auto ranked = ranker.RankTables({{1, 0}}, 5, /*exclude=*/1);
+  auto ranked = RankTables(index, {{1, 0}}, 5, /*exclude=*/1);
   for (size_t t : ranked) EXPECT_NE(t, 1u);
 }
 
@@ -268,23 +284,25 @@ TEST(TableRankerTest, ColumnModeRanksByNearestColumn) {
   ColumnEmbeddingIndex index(2);
   index.AddTable(1, {{1, 0}, {0, 1}});
   index.AddTable(2, {{0.6f, 0.8f}});
-  TableRanker ranker(&index);
-  auto ranked = ranker.RankTablesByColumn({1, 0}, 5, 99);
+  auto ranked = RankTablesByColumn(index, {1, 0}, 5, 99);
   ASSERT_EQ(ranked.size(), 2u);
   EXPECT_EQ(ranked[0], 1u);
 }
 
 TEST(TableRankerTest, BatchRankingMatchesSerial) {
+  // A 1-shard lake's pooled batch ranking (one flattened scatter for every
+  // query) against serial per-query ranking over a plain column index.
   Rng rng(21);
   ColumnEmbeddingIndex index(4);
+  ShardedLakeIndex lake(4, 1);
   for (size_t t = 0; t < 20; ++t) {
     std::vector<std::vector<float>> cols(2, std::vector<float>(4));
     for (auto& col : cols) {
       for (auto& x : col) x = static_cast<float>(rng.Normal());
     }
     index.AddTable(t, cols);
+    ASSERT_EQ(lake.AddTable(std::to_string(t), cols), t);
   }
-  TableRanker ranker(&index);
   std::vector<std::vector<std::vector<float>>> union_queries;
   std::vector<std::vector<float>> join_queries;
   std::vector<size_t> excludes;
@@ -298,14 +316,14 @@ TEST(TableRankerTest, BatchRankingMatchesSerial) {
     excludes.push_back(q);
   }
   ThreadPool pool(3);
-  auto union_batch = ranker.RankTablesBatch(union_queries, 5, excludes, &pool);
-  auto join_batch = ranker.RankTablesByColumnBatch(join_queries, 5, excludes, &pool);
+  auto union_batch = lake.RankUnionableBatch(union_queries, 5, excludes, &pool);
+  auto join_batch = lake.RankJoinableBatch(join_queries, 5, excludes, &pool);
   ASSERT_EQ(union_batch.size(), 6u);
   ASSERT_EQ(join_batch.size(), 6u);
   for (size_t q = 0; q < 6; ++q) {
-    EXPECT_EQ(union_batch[q], ranker.RankTables(union_queries[q], 5, excludes[q]));
+    EXPECT_EQ(union_batch[q], RankTables(index, union_queries[q], 5, excludes[q]));
     EXPECT_EQ(join_batch[q],
-              ranker.RankTablesByColumn(join_queries[q], 5, excludes[q]));
+              RankTablesByColumn(index, join_queries[q], 5, excludes[q]));
   }
 }
 
@@ -316,8 +334,7 @@ TEST(TableRankerTest, HnswBackedIndexRanksLikeFlatOnSeparatedData) {
   ColumnEmbeddingIndex index(2, options);
   index.AddTable(1, {{1, 0}});
   index.AddTable(2, {{0, 1}});
-  TableRanker ranker(&index);
-  auto ranked = ranker.RankTablesByColumn({0.9f, 0.1f}, 5, SIZE_MAX);
+  auto ranked = RankTablesByColumn(index, {0.9f, 0.1f}, 5, SIZE_MAX);
   ASSERT_EQ(ranked.size(), 2u);
   EXPECT_EQ(ranked[0], 1u);
 }
@@ -361,9 +378,10 @@ TEST(PipelineTest, PerfectEmbeddingsGivePerfectSearch) {
 }
 
 TEST(PipelineTest, ShardedRunSearchMatchesUnsharded) {
-  // The --shards knob routes RunSearch through ShardedLakeIndex; with the
-  // exact flat backend the ranked lists must be identical at any shard
-  // count, including the exclude-own-table handling.
+  // RunSearch indexes the corpus in a ShardedLakeIndex of --shards shards;
+  // with the exact flat backend the ranked lists must be identical to the
+  // 1-shard run at any shard count, including the exclude-own-table
+  // handling.
   lakebench::SearchBenchmark bench;
   bench.name = "sharded-parity";
   for (int i = 0; i < 40; ++i) {

@@ -1,4 +1,4 @@
-// ShardedLakeIndex: scatter/gather parity against the unsharded LakeIndex,
+// ShardedLakeIndex: scatter/gather parity against an unsharded reference,
 // HNSW recall per shard count, the "LAKS" manifest round trip, and failure
 // injection for missing/truncated/legacy files.
 #include <gtest/gtest.h>
@@ -8,6 +8,7 @@
 #include <fstream>
 #include <sstream>
 #include <unordered_set>
+#include <utility>
 
 #include "search/sharded_lake_index.h"
 #include "test_util.h"
@@ -22,9 +23,41 @@ using testutil::MakeCorpus;
 using testutil::RandomVec;
 using testutil::RecallAtK;
 
-LakeIndex BuildUnsharded(const Corpus& corpus, size_t dim,
-                         const IndexOptions& options = {}) {
-  LakeIndex index(dim, options);
+// The unsharded reference: one ColumnEmbeddingIndex over the whole corpus,
+// one batched search per query and the Fig 6 statics on top — no scatter,
+// no merge, no lake lifecycle.
+class UnshardedReference {
+ public:
+  UnshardedReference(const Corpus& corpus, size_t dim)
+      : index_(dim), ids_(corpus.ids) {
+    for (size_t t = 0; t < corpus.tables.size(); ++t) {
+      index_.AddTable(t, corpus.tables[t]);
+    }
+  }
+
+  std::vector<std::string> QueryJoinable(const std::vector<float>& query,
+                                         size_t k) const {
+    auto hits = index_.SearchColumnsBatch({query}, k * 3);
+    return RankedTableIds(
+        ids_, TableRanker::RankFromSingleColumnHits(hits[0], SIZE_MAX), k);
+  }
+
+  std::vector<std::string> QueryUnionable(
+      const std::vector<std::vector<float>>& query, size_t k) const {
+    return RankedTableIds(
+        ids_,
+        TableRanker::RankFromColumnHits(index_.SearchColumnsBatch(query, k * 3),
+                                        SIZE_MAX),
+        k);
+  }
+
+ private:
+  ColumnEmbeddingIndex index_;
+  std::vector<std::string> ids_;
+};
+
+LakeIndex BuildSingle(const Corpus& corpus, size_t dim) {
+  LakeIndex index(dim);
   for (size_t t = 0; t < corpus.tables.size(); ++t) {
     index.AddTable(corpus.ids[t], corpus.tables[t]);
   }
@@ -43,7 +76,7 @@ ShardedLakeIndex BuildSharded(const Corpus& corpus, size_t dim, size_t shards,
 TEST(ShardedLakeIndexTest, FlatBackendExactParityWithUnsharded) {
   const size_t dim = 16;
   Corpus corpus = MakeCorpus(60, dim, 1);
-  LakeIndex reference = BuildUnsharded(corpus, dim);
+  UnshardedReference reference(corpus, dim);
   for (size_t shards : {size_t{1}, size_t{2}, size_t{7}}) {
     ShardedLakeIndex sharded = BuildSharded(corpus, dim, shards);
     EXPECT_EQ(sharded.num_shards(), shards);
@@ -62,7 +95,7 @@ TEST(ShardedLakeIndexTest, FlatBackendExactParityWithUnsharded) {
 TEST(ShardedLakeIndexTest, HnswRecallAtLeastPointNinePerShardCount) {
   const size_t dim = 16, k = 10;
   Corpus corpus = MakeCorpus(200, dim, 2);
-  LakeIndex flat_gold = BuildUnsharded(corpus, dim);
+  UnshardedReference flat_gold(corpus, dim);
   IndexOptions hnsw;
   hnsw.backend = IndexBackend::kHnsw;
   hnsw.hnsw.ef_search = 128;
@@ -82,21 +115,58 @@ TEST(ShardedLakeIndexTest, HnswRecallAtLeastPointNinePerShardCount) {
 TEST(ShardedLakeIndexTest, ScatterAndBatchMatchSerial) {
   const size_t dim = 16;
   Corpus corpus = MakeCorpus(50, dim, 3);
-  ShardedLakeIndex sharded = BuildSharded(corpus, dim, 3);
   ThreadPool pool(3);
-  for (const auto& q : corpus.join_queries) {
-    // Pool-scattered single query == serial single query.
-    EXPECT_EQ(sharded.QueryJoinable(q, 5, &pool), sharded.QueryJoinable(q, 5));
-  }
-  auto join_batch = sharded.QueryJoinableBatch(corpus.join_queries, 5, &pool);
-  ASSERT_EQ(join_batch.size(), corpus.join_queries.size());
-  for (size_t q = 0; q < corpus.join_queries.size(); ++q) {
-    EXPECT_EQ(join_batch[q], sharded.QueryJoinable(corpus.join_queries[q], 5));
-  }
-  auto union_batch = sharded.QueryUnionableBatch(corpus.union_queries, 5, &pool);
-  ASSERT_EQ(union_batch.size(), corpus.union_queries.size());
-  for (size_t q = 0; q < corpus.union_queries.size(); ++q) {
-    EXPECT_EQ(union_batch[q], sharded.QueryUnionable(corpus.union_queries[q], 5));
+  // Pool-scattered single queries, serial single queries and batches must
+  // agree on every lake state: fresh, churned (post-seal adds plus
+  // tombstones, so base + delta merge and filtering are live), and after
+  // Compact — for every storage and backend, at 1 and 3 shards.
+  auto expect_agreement = [&](const ShardedLakeIndex& lake,
+                              const std::string& where) {
+    for (const auto& q : corpus.join_queries) {
+      EXPECT_EQ(lake.QueryJoinable(q, 5, &pool), lake.QueryJoinable(q, 5))
+          << where;
+    }
+    auto join_batch = lake.QueryJoinableBatch(corpus.join_queries, 5, &pool);
+    ASSERT_EQ(join_batch.size(), corpus.join_queries.size());
+    for (size_t q = 0; q < corpus.join_queries.size(); ++q) {
+      EXPECT_EQ(join_batch[q], lake.QueryJoinable(corpus.join_queries[q], 5))
+          << where;
+    }
+    auto union_batch =
+        lake.QueryUnionableBatch(corpus.union_queries, 5, &pool);
+    ASSERT_EQ(union_batch.size(), corpus.union_queries.size());
+    for (size_t q = 0; q < corpus.union_queries.size(); ++q) {
+      EXPECT_EQ(union_batch[q], lake.QueryUnionable(corpus.union_queries[q], 5))
+          << where;
+    }
+  };
+  IndexOptions sq8;
+  sq8.storage = Storage::kSq8;
+  IndexOptions hnsw;
+  hnsw.backend = IndexBackend::kHnsw;
+  const std::vector<std::pair<std::string, IndexOptions>> configs = {
+      {"float32", IndexOptions{}}, {"sq8", sq8}, {"hnsw", hnsw}};
+  for (const auto& [name, options] : configs) {
+    for (size_t shards : {size_t{1}, size_t{3}}) {
+      const std::string label =
+          name + " at " + std::to_string(shards) + " shards";
+      ShardedLakeIndex lake = BuildSharded(corpus, dim, shards, options);
+      expect_agreement(lake, label + ", fresh");
+      lake.Seal();
+      Rng rng(13);
+      for (size_t t = 0; t < 6; ++t) {
+        lake.AddTable("delta_" + std::to_string(t),
+                      {RandomVec(&rng, dim), RandomVec(&rng, dim)});
+      }
+      for (const char* id : {"table_2", "table_9", "delta_1", "table_30"}) {
+        ASSERT_TRUE(lake.RemoveTable(id).ok()) << id;
+      }
+      ASSERT_TRUE(lake.churned());
+      expect_agreement(lake, label + ", churned");
+      ASSERT_TRUE(lake.Compact().ok());
+      ASSERT_FALSE(lake.churned());
+      expect_agreement(lake, label + ", compacted");
+    }
   }
 }
 
@@ -200,7 +270,7 @@ TEST(ShardedLakeIndexTest, Sq8RecallAtTenVersusFloatFlat) {
   // recall@10 against the float32 flat gold standard is at least 0.99.
   const size_t dim = 32, k = 10;
   Corpus corpus = MakeCorpus(300, dim, 12);
-  LakeIndex flat_gold = BuildUnsharded(corpus, dim);
+  UnshardedReference flat_gold(corpus, dim);
   IndexOptions sq8;
   sq8.storage = Storage::kSq8;
   for (size_t shards : {size_t{1}, size_t{4}}) {
@@ -261,16 +331,17 @@ TEST(ShardedLakeIndexTest, TruncatedManifestIsAnErrorNotACrash) {
 TEST(ShardedLakeIndexTest, LegacyLak2FileLoadsAsOneShard) {
   const size_t dim = 10;
   Corpus corpus = MakeCorpus(25, dim, 7);
-  LakeIndex single = BuildUnsharded(corpus, dim);
+  LakeIndex single = BuildSingle(corpus, dim);
   std::string path = testing::TempDir() + "/tsfm_sharded_legacy_lak2.bin";
   ASSERT_TRUE(single.Save(path).ok());
+  const ShardedLakeIndex writer = ShardedLakeIndex::FromSingle(std::move(single));
 
   auto loaded = ShardedLakeIndex::Load(path);
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(loaded.value().num_shards(), 1u);
   EXPECT_EQ(loaded.value().num_tables(), corpus.tables.size());
   for (const auto& q : corpus.join_queries) {
-    EXPECT_EQ(loaded.value().QueryJoinable(q, 5), single.QueryJoinable(q, 5));
+    EXPECT_EQ(loaded.value().QueryJoinable(q, 5), writer.QueryJoinable(q, 5));
   }
   std::remove(path.c_str());
 }

@@ -95,8 +95,7 @@ TEST(TsanStressTest, QueriesRaceIngestDeletesAndCompact) {
   });
   threads.emplace_back([&] {
     for (int i = 0; i < kCompactIters; ++i) {
-      Status compacted = index.Compact(/*hnsw_rebuild_threshold=*/0.0,
-                                       &query_pool);
+      Status compacted = index.Compact(&query_pool);
       if (!compacted.ok()) failed.store(true);
       std::this_thread::yield();
     }
