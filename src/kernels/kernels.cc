@@ -53,30 +53,6 @@ float L2SqScalar(const float* a, const float* b, size_t n) {
   return (s0 + s1) + (s2 + s3);
 }
 
-float CosineScalar(const float* a, const float* b, size_t n) {
-  float dot = 0.0f, na = 0.0f, nb = 0.0f;
-  for (size_t i = 0; i < n; ++i) {
-    dot += a[i] * b[i];
-    na += a[i] * a[i];
-    nb += b[i] * b[i];
-  }
-  return CosineDistanceFromDot(dot, std::sqrt(na), std::sqrt(nb));
-}
-
-void DotManyScalar(const float* query, const float* rows, size_t num_rows,
-                   size_t dim, float* out) {
-  for (size_t r = 0; r < num_rows; ++r) {
-    out[r] = DotScalar(query, rows + r * dim, dim);
-  }
-}
-
-void L2SqManyScalar(const float* query, const float* rows, size_t num_rows,
-                    size_t dim, float* out) {
-  for (size_t r = 0; r < num_rows; ++r) {
-    out[r] = L2SqScalar(query, rows + r * dim, dim);
-  }
-}
-
 // Asymmetric SQ8 references: float query, raw uint8 rows. Same
 // four-accumulator shape as the float kernels so the SIMD agreement
 // contract (1e-4 relative) carries over unchanged.
@@ -114,25 +90,12 @@ float L2SqSq8Scalar(const float* q, const uint8_t* row, size_t n) {
   return (s0 + s1) + (s2 + s3);
 }
 
-void DotManySq8Scalar(const float* query, const uint8_t* rows, size_t num_rows,
-                      size_t dim, float* out) {
-  for (size_t r = 0; r < num_rows; ++r) {
-    out[r] = DotSq8Scalar(query, rows + r * dim, dim);
-  }
-}
-
-void L2SqManySq8Scalar(const float* query, const uint8_t* rows,
-                       size_t num_rows, size_t dim, float* out) {
-  for (size_t r = 0; r < num_rows; ++r) {
-    out[r] = L2SqSq8Scalar(query, rows + r * dim, dim);
-  }
-}
-
 // Multi-query reference kernels. The tile walks a block of rows for every
 // query before moving on, so the row block stays hot in L1 across the
 // whole query batch; within a (query, row) pair the arithmetic is the
-// exact pairwise kernel, which keeps every value bit-identical to the
-// *_many kernels above (the contract ScanTopKMulti depends on).
+// exact pairwise kernel, so every value is the same whatever the batch
+// size and wherever the query sits in it (the contract ScanTopKMulti
+// depends on).
 constexpr size_t kMultiRowTile = 4;
 
 void DotMultiScalar(const float* queries, size_t num_queries,
@@ -239,11 +202,6 @@ constexpr KernelDispatch kScalarKernels = {
     .name = "scalar",
     .dot = DotScalar,
     .l2sq = L2SqScalar,
-    .cosine = CosineScalar,
-    .dot_many = DotManyScalar,
-    .l2sq_many = L2SqManyScalar,
-    .dot_many_sq8 = DotManySq8Scalar,
-    .l2sq_many_sq8 = L2SqManySq8Scalar,
     .dot_multi = DotMultiScalar,
     .l2sq_multi = L2SqMultiScalar,
     .dot_multi_sq8 = DotMultiSq8Scalar,
@@ -296,51 +254,15 @@ float L2SqNeon(const float* a, const float* b, size_t n) {
   return s;
 }
 
-float CosineNeon(const float* a, const float* b, size_t n) {
-  float32x4_t dot = vdupq_n_f32(0.0f), na = vdupq_n_f32(0.0f),
-              nb = vdupq_n_f32(0.0f);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const float32x4_t va = vld1q_f32(a + i);
-    const float32x4_t vb = vld1q_f32(b + i);
-    dot = vfmaq_f32(dot, va, vb);
-    na = vfmaq_f32(na, va, va);
-    nb = vfmaq_f32(nb, vb, vb);
-  }
-  float sdot = vaddvq_f32(dot), sna = vaddvq_f32(na), snb = vaddvq_f32(nb);
-  for (; i < n; ++i) {
-    sdot += a[i] * b[i];
-    sna += a[i] * a[i];
-    snb += b[i] * b[i];
-  }
-  return CosineDistanceFromDot(sdot, std::sqrt(sna), std::sqrt(snb));
-}
-
-void DotManyNeon(const float* query, const float* rows, size_t num_rows,
-                 size_t dim, float* out) {
-  for (size_t r = 0; r < num_rows; ++r) {
-    out[r] = DotNeon(query, rows + r * dim, dim);
-  }
-}
-
-void L2SqManyNeon(const float* query, const float* rows, size_t num_rows,
-                  size_t dim, float* out) {
-  for (size_t r = 0; r < num_rows; ++r) {
-    out[r] = L2SqNeon(query, rows + r * dim, dim);
-  }
-}
-
-// The float multi kernels loop DotManyNeon/L2SqManyNeon per query instead
-// of tiling queries into the NEON registers: a genuine register tile would
-// change the per-pair accumulation order vs. DotNeon and break the
-// bit-identity contract with per-query ScanTopK on aarch64. The sq8 multi
-// kernels alias the scalar tile for the same reason the *_many_sq8 entries
-// alias scalar below: per-pair values must match that dispatch's own
-// single-query kernels.
+// The float multi kernels loop the pairwise DotNeon/L2SqNeon per (query,
+// row) instead of tiling queries into the NEON registers, so each pair's
+// value is the pairwise kernel's whatever the batch.
 void DotMultiNeon(const float* queries, size_t num_queries, const float* rows,
                   size_t num_rows, size_t dim, float* out) {
   for (size_t q = 0; q < num_queries; ++q) {
-    DotManyNeon(queries + q * dim, rows, num_rows, dim, out + q * num_rows);
+    for (size_t r = 0; r < num_rows; ++r) {
+      out[q * num_rows + r] = DotNeon(queries + q * dim, rows + r * dim, dim);
+    }
   }
 }
 
@@ -348,11 +270,13 @@ void L2SqMultiNeon(const float* queries, size_t num_queries,
                    const float* rows, size_t num_rows, size_t dim,
                    float* out) {
   for (size_t q = 0; q < num_queries; ++q) {
-    L2SqManyNeon(queries + q * dim, rows, num_rows, dim, out + q * num_rows);
+    for (size_t r = 0; r < num_rows; ++r) {
+      out[q * num_rows + r] = L2SqNeon(queries + q * dim, rows + r * dim, dim);
+    }
   }
 }
 
-// The sq8 batch kernels reuse the scalar reference on NEON for now: the
+// The sq8 multi kernels reuse the scalar reference on NEON for now: the
 // widening u8 -> f32 ladder costs most of what the float FMA saves at
 // these dims, and the bandwidth win (4x smaller rows) is ISA-independent.
 // The encoder slots alias scalar too until a NEON GEMM tile is written.
@@ -360,11 +284,6 @@ constexpr KernelDispatch kNeonKernels = {
     .name = "neon",
     .dot = DotNeon,
     .l2sq = L2SqNeon,
-    .cosine = CosineNeon,
-    .dot_many = DotManyNeon,
-    .l2sq_many = L2SqManyNeon,
-    .dot_many_sq8 = DotManySq8Scalar,
-    .l2sq_many_sq8 = L2SqManySq8Scalar,
     .dot_multi = DotMultiNeon,
     .l2sq_multi = L2SqMultiNeon,
     .dot_multi_sq8 = DotMultiSq8Scalar,

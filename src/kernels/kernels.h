@@ -4,7 +4,7 @@
 // Every query in the repo bottoms out in two kinds of inner loop: the
 // transformer's dense GEMMs and GELU (nn::MatMul, nn::MatMulNT, nn::Gelu,
 // run once per query table to embed it) and the inner-product / L2 scans
-// (KnnIndex::Search) or HNSW neighbour expansion (HnswIndex::Distance).
+// (KnnIndex::SearchBatch) or HNSW neighbour expansion (HnswIndex::Distance).
 // This module owns those loops: a kernel set is selected once per process
 // by runtime CPU detection — AVX2+FMA when the CPU has both, NEON on
 // aarch64, portable scalar otherwise — and exposed as plain function
@@ -15,8 +15,8 @@
 //     norm division and the zero-norm guard into the kernel layer; no
 //     caller divides by norms itself.
 //   - A zero-norm vector has no direction, so wherever norms are known
-//     (the cosine kernel, CosineDistanceFromDot, and therefore the flat
-//     scan) its cosine distance is kMaxCosineDistance (+inf): it ranks
+//     (CosineDistanceFromDot, and therefore the flat scan) its cosine
+//     distance is kMaxCosineDistance (+inf): it ranks
 //     strictly after every vector with a direction instead of
 //     masquerading as "orthogonal". HnswIndex is the one exception: it
 //     normalizes on insert, so a zero-norm input degrades to the zero
@@ -25,9 +25,12 @@
 //     the scalar reference matches). Kernel sets agree within 1e-4
 //     relative on random vectors (property-tested in
 //     tests/distance_kernels_test.cc) but are NOT bit-identical — never
-//     compare distances across kernel sets with ==. The same contract
-//     covers the batch (*_many) kernels against their pairwise
-//     counterparts: row blocking changes the accumulation order.
+//     compare distances across kernel sets with ==. The same 1e-4
+//     contract covers the multi-query (*_multi) kernels against their
+//     pairwise counterparts: the register tile may change the
+//     accumulation order. Within one set, though, each (query, row) value
+//     of a multi kernel is bit-identical whatever the batch size and
+//     wherever the query sits in the batch (see MultiBatchKernelFn).
 //
 // Encoder semantics (gemm_nn, gemm_nt, gelu; tests/kernels_test.cc):
 //   - The scalar set is the reference: plain IEEE loops, so a NaN or inf
@@ -65,39 +68,34 @@ inline constexpr float kNormProductEps = 1e-12f;
 /// Pairwise kernel: one value from two length-`n` vectors.
 using PairKernelFn = float (*)(const float* a, const float* b, size_t n);
 
-/// Batch kernel: `query` against `num_rows` contiguous row-major rows of
-/// length `dim`, one output per row. This is what the flat scan streams
-/// through — no per-row indirect call, the row loop lives inside the
-/// selected ISA's translation unit.
-using BatchKernelFn = void (*)(const float* query, const float* rows,
-                               size_t num_rows, size_t dim, float* out);
-
-/// Asymmetric batch kernel: float query against `num_rows` row-major
-/// uint8 SQ8 code rows. The kernels are codec-agnostic — they treat each
-/// byte as the number it is (dot: sum q_i * u_i; l2sq: sum (q_i - u_i)^2)
-/// and search::ScanTopKSq8 pre-transforms the query per metric so the
-/// affine calibration never enters the inner loop.
-using BatchKernelSq8Fn = void (*)(const float* query, const uint8_t* rows,
-                                  size_t num_rows, size_t dim, float* out);
-
 /// \brief Multi-query batch ("mini-GEMM") kernel: `num_queries` row-major
-/// queries of length `dim` against `num_rows` row-major rows, writing
-/// out[q * num_rows + r].
+/// queries of length `dim` against `num_rows` contiguous row-major rows,
+/// writing out[q * num_rows + r].
 ///
-/// This is the batched-server hot loop: the register tile walks several
+/// This is what every flat scan streams through, a single query being a
+/// batch of one: no per-row indirect call, the row loop lives inside the
+/// selected ISA's translation unit, and the register tile walks several
 /// queries and rows abreast so each row load from memory is shared by the
 /// whole query tile instead of being re-fetched per query. Contract: the
-/// value produced for every (q, r) pair is bit-identical to what the SAME
-/// dispatch's single-query batch kernel (dot_many / l2sq_many) produces
-/// for that row — the tile may reorder which pair is computed when, but
-/// never the accumulation order within a pair. search::ScanTopKMulti
-/// relies on this to return exactly what per-query ScanTopK calls would.
+/// value produced for every (q, r) pair is bit-identical whatever
+/// `num_queries` is and wherever query q sits in the batch — the tile may
+/// reorder which pair is computed when, but never the accumulation order
+/// within a pair. search::ScanTopKMulti and KnnIndex::SearchBatch's query
+/// chunking rely on this: a query returns the same hits alone or in any
+/// batch. Values agree within 1e-4 with the scalar set and with the
+/// pairwise kernels.
 using MultiBatchKernelFn = void (*)(const float* queries, size_t num_queries,
                                     const float* rows, size_t num_rows,
                                     size_t dim, float* out);
 
-/// Multi-query variant of BatchKernelSq8Fn, same layout and bit-identity
-/// contract as MultiBatchKernelFn (vs. dot_many_sq8 / l2sq_many_sq8).
+/// \brief Asymmetric multi-query kernel: float queries against `num_rows`
+/// row-major uint8 SQ8 code rows, same layout and contract as
+/// MultiBatchKernelFn.
+///
+/// The kernels are codec-agnostic — they treat each byte as the number it
+/// is (dot: sum q_i * u_i; l2sq: sum (q_i - u_i)^2) and
+/// search::ScanTopKMultiSq8 pre-transforms each query per metric so the
+/// affine calibration never enters the inner loop.
 using MultiBatchKernelSq8Fn = void (*)(const float* queries,
                                        size_t num_queries,
                                        const uint8_t* rows, size_t num_rows,
@@ -120,11 +118,6 @@ struct KernelDispatch {
   const char* name;        ///< "scalar", "avx2-fma", or "neon"
   PairKernelFn dot;        ///< inner product
   PairKernelFn l2sq;       ///< squared Euclidean distance
-  PairKernelFn cosine;     ///< 1 - cos(a, b); zero norm -> kMaxCosineDistance
-  BatchKernelFn dot_many;  ///< dot of query vs each row
-  BatchKernelFn l2sq_many; ///< squared L2 of query vs each row
-  BatchKernelSq8Fn dot_many_sq8;   ///< dot of float query vs each u8 row
-  BatchKernelSq8Fn l2sq_many_sq8;  ///< squared L2 of float query vs each u8 row
   MultiBatchKernelFn dot_multi;    ///< dot of each query vs each row
   MultiBatchKernelFn l2sq_multi;   ///< squared L2 of each query vs each row
   MultiBatchKernelSq8Fn dot_multi_sq8;   ///< multi-query dot vs u8 rows

@@ -15,7 +15,6 @@
 
 #include <immintrin.h>
 
-#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
@@ -41,13 +40,6 @@ inline float HorizontalSum(__m256 v) {
   lo = _mm_hadd_ps(lo, lo);
   lo = _mm_hadd_ps(lo, lo);
   return _mm_cvtss_f32(lo);
-}
-
-// Local copy of CosineDistanceFromDot: the header inline must not be
-// instantiated in this TU (see the file comment).
-inline float CosineFromDot(float dot, float norm_a, float norm_b) {
-  const float denom = norm_a * norm_b;
-  return denom > kNormProductEps ? 1.0f - dot / denom : kMaxCosineDistance;
 }
 
 float DotAvx2(const float* a, const float* b, size_t n) {
@@ -111,113 +103,6 @@ float L2SqAvx2(const float* a, const float* b, size_t n) {
       _mm256_add_ps(_mm256_add_ps(acc0, acc1), _mm256_add_ps(acc2, acc3)));
 }
 
-float CosineAvx2(const float* a, const float* b, size_t n) {
-  __m256 dot = _mm256_setzero_ps(), na = _mm256_setzero_ps(),
-         nb = _mm256_setzero_ps();
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 va = _mm256_loadu_ps(a + i);
-    const __m256 vb = _mm256_loadu_ps(b + i);
-    dot = _mm256_fmadd_ps(va, vb, dot);
-    na = _mm256_fmadd_ps(va, va, na);
-    nb = _mm256_fmadd_ps(vb, vb, nb);
-  }
-  if (i < n) {
-    const __m256i mask = TailMask(n - i);
-    const __m256 va = _mm256_maskload_ps(a + i, mask);
-    const __m256 vb = _mm256_maskload_ps(b + i, mask);
-    dot = _mm256_fmadd_ps(va, vb, dot);
-    na = _mm256_fmadd_ps(va, va, na);
-    nb = _mm256_fmadd_ps(vb, vb, nb);
-  }
-  return CosineFromDot(HorizontalSum(dot), std::sqrt(HorizontalSum(na)),
-                       std::sqrt(HorizontalSum(nb)));
-}
-
-// The batch variants walk four rows abreast so each 8-wide query load is
-// shared by four FMAs — ~40% fewer loads than row-at-a-time, and four
-// independent accumulator chains keep the FMA units busy while the row
-// streams come out of L2.
-void DotManyAvx2(const float* query, const float* rows, size_t num_rows,
-                 size_t dim, float* out) {
-  size_t r = 0;
-  for (; r + 4 <= num_rows; r += 4) {
-    const float* r0 = rows + r * dim;
-    const float* r1 = r0 + dim;
-    const float* r2 = r1 + dim;
-    const float* r3 = r2 + dim;
-    __m256 acc0 = _mm256_setzero_ps(), acc1 = _mm256_setzero_ps();
-    __m256 acc2 = _mm256_setzero_ps(), acc3 = _mm256_setzero_ps();
-    size_t i = 0;
-    for (; i + 8 <= dim; i += 8) {
-      const __m256 q = _mm256_loadu_ps(query + i);
-      acc0 = _mm256_fmadd_ps(q, _mm256_loadu_ps(r0 + i), acc0);
-      acc1 = _mm256_fmadd_ps(q, _mm256_loadu_ps(r1 + i), acc1);
-      acc2 = _mm256_fmadd_ps(q, _mm256_loadu_ps(r2 + i), acc2);
-      acc3 = _mm256_fmadd_ps(q, _mm256_loadu_ps(r3 + i), acc3);
-    }
-    if (i < dim) {
-      const __m256i mask = TailMask(dim - i);
-      const __m256 q = _mm256_maskload_ps(query + i, mask);
-      acc0 = _mm256_fmadd_ps(q, _mm256_maskload_ps(r0 + i, mask), acc0);
-      acc1 = _mm256_fmadd_ps(q, _mm256_maskload_ps(r1 + i, mask), acc1);
-      acc2 = _mm256_fmadd_ps(q, _mm256_maskload_ps(r2 + i, mask), acc2);
-      acc3 = _mm256_fmadd_ps(q, _mm256_maskload_ps(r3 + i, mask), acc3);
-    }
-    out[r] = HorizontalSum(acc0);
-    out[r + 1] = HorizontalSum(acc1);
-    out[r + 2] = HorizontalSum(acc2);
-    out[r + 3] = HorizontalSum(acc3);
-  }
-  for (; r < num_rows; ++r) {
-    out[r] = DotAvx2(query, rows + r * dim, dim);
-  }
-}
-
-void L2SqManyAvx2(const float* query, const float* rows, size_t num_rows,
-                  size_t dim, float* out) {
-  size_t r = 0;
-  for (; r + 4 <= num_rows; r += 4) {
-    const float* r0 = rows + r * dim;
-    const float* r1 = r0 + dim;
-    const float* r2 = r1 + dim;
-    const float* r3 = r2 + dim;
-    __m256 acc0 = _mm256_setzero_ps(), acc1 = _mm256_setzero_ps();
-    __m256 acc2 = _mm256_setzero_ps(), acc3 = _mm256_setzero_ps();
-    size_t i = 0;
-    for (; i + 8 <= dim; i += 8) {
-      const __m256 q = _mm256_loadu_ps(query + i);
-      const __m256 d0 = _mm256_sub_ps(q, _mm256_loadu_ps(r0 + i));
-      const __m256 d1 = _mm256_sub_ps(q, _mm256_loadu_ps(r1 + i));
-      const __m256 d2 = _mm256_sub_ps(q, _mm256_loadu_ps(r2 + i));
-      const __m256 d3 = _mm256_sub_ps(q, _mm256_loadu_ps(r3 + i));
-      acc0 = _mm256_fmadd_ps(d0, d0, acc0);
-      acc1 = _mm256_fmadd_ps(d1, d1, acc1);
-      acc2 = _mm256_fmadd_ps(d2, d2, acc2);
-      acc3 = _mm256_fmadd_ps(d3, d3, acc3);
-    }
-    if (i < dim) {
-      const __m256i mask = TailMask(dim - i);
-      const __m256 q = _mm256_maskload_ps(query + i, mask);
-      const __m256 d0 = _mm256_sub_ps(q, _mm256_maskload_ps(r0 + i, mask));
-      const __m256 d1 = _mm256_sub_ps(q, _mm256_maskload_ps(r1 + i, mask));
-      const __m256 d2 = _mm256_sub_ps(q, _mm256_maskload_ps(r2 + i, mask));
-      const __m256 d3 = _mm256_sub_ps(q, _mm256_maskload_ps(r3 + i, mask));
-      acc0 = _mm256_fmadd_ps(d0, d0, acc0);
-      acc1 = _mm256_fmadd_ps(d1, d1, acc1);
-      acc2 = _mm256_fmadd_ps(d2, d2, acc2);
-      acc3 = _mm256_fmadd_ps(d3, d3, acc3);
-    }
-    out[r] = HorizontalSum(acc0);
-    out[r + 1] = HorizontalSum(acc1);
-    out[r + 2] = HorizontalSum(acc2);
-    out[r + 3] = HorizontalSum(acc3);
-  }
-  for (; r < num_rows; ++r) {
-    out[r] = L2SqAvx2(query, rows + r * dim, dim);
-  }
-}
-
 // Widens 8 uint8 codes to an 8-lane float vector. cvtepu8 + cvtepi32 is
 // the cheapest correct ladder here: every code is exactly representable in
 // float, so the asymmetric kernels stay bit-deterministic per ISA.
@@ -265,103 +150,19 @@ float L2SqSq8Avx2(const float* q, const uint8_t* row, size_t n) {
   return s;
 }
 
-// Same four-rows-abreast shape as the float batch kernels: one query load
-// feeds four FMA chains while the u8 row streams cost a quarter of the
-// float bandwidth — which is the whole point of the sq8 scan.
-void DotManySq8Avx2(const float* query, const uint8_t* rows, size_t num_rows,
-                    size_t dim, float* out) {
-  size_t r = 0;
-  for (; r + 4 <= num_rows; r += 4) {
-    const uint8_t* r0 = rows + r * dim;
-    const uint8_t* r1 = r0 + dim;
-    const uint8_t* r2 = r1 + dim;
-    const uint8_t* r3 = r2 + dim;
-    __m256 acc0 = _mm256_setzero_ps(), acc1 = _mm256_setzero_ps();
-    __m256 acc2 = _mm256_setzero_ps(), acc3 = _mm256_setzero_ps();
-    size_t i = 0;
-    for (; i + 8 <= dim; i += 8) {
-      const __m256 q = _mm256_loadu_ps(query + i);
-      acc0 = _mm256_fmadd_ps(q, LoadU8x8(r0 + i), acc0);
-      acc1 = _mm256_fmadd_ps(q, LoadU8x8(r1 + i), acc1);
-      acc2 = _mm256_fmadd_ps(q, LoadU8x8(r2 + i), acc2);
-      acc3 = _mm256_fmadd_ps(q, LoadU8x8(r3 + i), acc3);
-    }
-    float s0 = HorizontalSum(acc0), s1 = HorizontalSum(acc1);
-    float s2 = HorizontalSum(acc2), s3 = HorizontalSum(acc3);
-    for (; i < dim; ++i) {
-      const float q = query[i];
-      s0 += q * static_cast<float>(r0[i]);
-      s1 += q * static_cast<float>(r1[i]);
-      s2 += q * static_cast<float>(r2[i]);
-      s3 += q * static_cast<float>(r3[i]);
-    }
-    out[r] = s0;
-    out[r + 1] = s1;
-    out[r + 2] = s2;
-    out[r + 3] = s3;
-  }
-  for (; r < num_rows; ++r) {
-    out[r] = DotSq8Avx2(query, rows + r * dim, dim);
-  }
-}
-
-void L2SqManySq8Avx2(const float* query, const uint8_t* rows, size_t num_rows,
-                     size_t dim, float* out) {
-  size_t r = 0;
-  for (; r + 4 <= num_rows; r += 4) {
-    const uint8_t* r0 = rows + r * dim;
-    const uint8_t* r1 = r0 + dim;
-    const uint8_t* r2 = r1 + dim;
-    const uint8_t* r3 = r2 + dim;
-    __m256 acc0 = _mm256_setzero_ps(), acc1 = _mm256_setzero_ps();
-    __m256 acc2 = _mm256_setzero_ps(), acc3 = _mm256_setzero_ps();
-    size_t i = 0;
-    for (; i + 8 <= dim; i += 8) {
-      const __m256 q = _mm256_loadu_ps(query + i);
-      const __m256 d0 = _mm256_sub_ps(q, LoadU8x8(r0 + i));
-      const __m256 d1 = _mm256_sub_ps(q, LoadU8x8(r1 + i));
-      const __m256 d2 = _mm256_sub_ps(q, LoadU8x8(r2 + i));
-      const __m256 d3 = _mm256_sub_ps(q, LoadU8x8(r3 + i));
-      acc0 = _mm256_fmadd_ps(d0, d0, acc0);
-      acc1 = _mm256_fmadd_ps(d1, d1, acc1);
-      acc2 = _mm256_fmadd_ps(d2, d2, acc2);
-      acc3 = _mm256_fmadd_ps(d3, d3, acc3);
-    }
-    float s0 = HorizontalSum(acc0), s1 = HorizontalSum(acc1);
-    float s2 = HorizontalSum(acc2), s3 = HorizontalSum(acc3);
-    for (; i < dim; ++i) {
-      const float q = query[i];
-      const float d0 = q - static_cast<float>(r0[i]);
-      const float d1 = q - static_cast<float>(r1[i]);
-      const float d2 = q - static_cast<float>(r2[i]);
-      const float d3 = q - static_cast<float>(r3[i]);
-      s0 += d0 * d0;
-      s1 += d1 * d1;
-      s2 += d2 * d2;
-      s3 += d3 * d3;
-    }
-    out[r] = s0;
-    out[r + 1] = s1;
-    out[r + 2] = s2;
-    out[r + 3] = s3;
-  }
-  for (; r < num_rows; ++r) {
-    out[r] = L2SqSq8Avx2(query, rows + r * dim, dim);
-  }
-}
-
 // ----------------------------------------------------- multi-query tiles
 // Register-tiled mini-GEMM: 2 queries × 4 rows abreast, so each of the
 // four row loads per step feeds two FMAs and each of the two query loads
 // feeds four — 8 accumulators + 2 query registers + 4 row registers stays
 // inside the 16 ymm budget (a 4×4 tile would need 24 and spill).
 //
-// Bit-identity contract (kernels.h): every (query, row) pair
-// accumulates exactly like DotManyAvx2 / L2SqManyAvx2 would for that row —
+// Bit-identity contract (kernels.h): every (query, row) pair accumulates
+// the same way whatever the batch size and wherever the query sits in it —
 // one 8-wide FMA chain over dim with a masked tail inside full groups of 4
-// rows, the pairwise kernel for the < 4 remainder rows. The query tiling
-// only reorders *which* pair runs when, never the ops within a pair, so
-// ScanTopKMulti returns bit-identical hits to per-query ScanTopK.
+// rows (whether the query runs in a 2-query tile or as the odd query out),
+// the pairwise kernel for the < 4 remainder rows. The query tiling only
+// reorders *which* pair runs when, never the ops within a pair, so
+// ScanTopKMulti returns each query the hits it gets scanned alone.
 
 void DotMultiAvx2(const float* queries, size_t num_queries, const float* rows,
                   size_t num_rows, size_t dim, float* out) {
@@ -425,7 +226,7 @@ void DotMultiAvx2(const float* queries, size_t num_queries, const float* rows,
       ob[3] = HorizontalSum(b3);
     }
     if (q < num_queries) {
-      // Odd query out: same group-of-4 body DotManyAvx2 uses.
+      // Odd query out: the same per-pair FMA chain on a 1×4 tile.
       const float* qa = queries + q * dim;
       __m256 a0 = _mm256_setzero_ps(), a1 = _mm256_setzero_ps();
       __m256 a2 = _mm256_setzero_ps(), a3 = _mm256_setzero_ps();
@@ -452,8 +253,7 @@ void DotMultiAvx2(const float* queries, size_t num_queries, const float* rows,
       oa[3] = HorizontalSum(a3);
     }
   }
-  // Remainder rows: pairwise kernel per (query, row), exactly how the
-  // single-query batch kernel finishes its tail rows.
+  // Remainder rows: pairwise kernel per (query, row).
   for (; r < num_rows; ++r) {
     for (size_t q = 0; q < num_queries; ++q) {
       out[q * num_rows + r] = DotAvx2(queries + q * dim, rows + r * dim, dim);
@@ -582,10 +382,12 @@ void L2SqMultiAvx2(const float* queries, size_t num_queries,
 }
 
 // Sq8 multi tiles: same 2×4 shape; the u8 widening (LoadU8x8) is shared
-// by both queries of the tile. Tail handling must mirror DotManySq8Avx2
-// exactly — horizontal-sum the vector accumulators FIRST, then add the
-// sub-8 scalar tail — or the float rounding order (and bit-identity)
-// would differ.
+// by both queries of the tile, and the u8 row streams cost a quarter of
+// the float bandwidth — which is the whole point of the sq8 scan. The
+// 2-query tile and the odd-query-out tile must handle the tail exactly
+// alike — horizontal-sum the vector accumulators FIRST, then add the
+// sub-8 scalar tail (no masked u8 load exists) — or the float rounding
+// order (and bit-identity across batch positions) would differ.
 void DotMultiSq8Avx2(const float* queries, size_t num_queries,
                      const uint8_t* rows, size_t num_rows, size_t dim,
                      float* out) {
@@ -979,11 +781,6 @@ constexpr KernelDispatch kAvx2Kernels = {
     .name = "avx2-fma",
     .dot = DotAvx2,
     .l2sq = L2SqAvx2,
-    .cosine = CosineAvx2,
-    .dot_many = DotManyAvx2,
-    .l2sq_many = L2SqManyAvx2,
-    .dot_many_sq8 = DotManySq8Avx2,
-    .l2sq_many_sq8 = L2SqManySq8Avx2,
     .dot_multi = DotMultiAvx2,
     .l2sq_multi = L2SqMultiAvx2,
     .dot_multi_sq8 = DotMultiSq8Avx2,

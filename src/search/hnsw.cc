@@ -2,19 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
-#include <istream>
-#include <ostream>
 #include <queue>
 #include <unordered_set>
 
 #include "kernels/kernels.h"
-#include "search/stream_io.h"
 #include "util/logging.h"
 
 namespace tsfm::search {
-
-using io::ReadPod;
-using io::WritePod;
 
 HnswIndex::HnswIndex(size_t dim, HnswOptions options, Metric metric)
     : dim_(dim), options_(options), metric_(metric), level_rng_(options.seed) {}
@@ -172,113 +166,6 @@ std::vector<std::pair<size_t, float>> HnswIndex::Search(
     out.emplace_back(payloads_[found[i].second], found[i].first);
   }
   return out;
-}
-
-Status HnswIndex::Save(std::ostream& out) const {
-  WritePod(out, kFormatTag);
-  WritePod(out, static_cast<uint32_t>(metric_));
-  WritePod(out, static_cast<uint64_t>(options_.m));
-  WritePod(out, static_cast<uint64_t>(options_.ef_construction));
-  WritePod(out, static_cast<uint64_t>(options_.ef_search));
-  WritePod(out, options_.seed);
-  WritePod(out, static_cast<uint64_t>(dim_));
-  WritePod(out, static_cast<uint64_t>(payloads_.size()));
-  WritePod(out, static_cast<int32_t>(max_level_));
-  WritePod(out, entry_point_);
-  for (size_t p : payloads_) WritePod(out, static_cast<uint64_t>(p));
-  out.write(reinterpret_cast<const char*>(data_.data()),
-            static_cast<std::streamsize>(data_.size() * sizeof(float)));
-  for (const Node& node : nodes_) {
-    WritePod(out, static_cast<int32_t>(node.level));
-    for (const auto& layer : node.neighbours) {
-      WritePod(out, static_cast<uint64_t>(layer.size()));
-      out.write(reinterpret_cast<const char*>(layer.data()),
-                static_cast<std::streamsize>(layer.size() * sizeof(uint32_t)));
-    }
-  }
-  if (!out) return Status::IoError("hnsw index write failed");
-  return Status::OK();
-}
-
-Result<HnswIndex> HnswIndex::Load(std::istream& in, bool legacy) {
-  uint32_t metric = static_cast<uint32_t>(Metric::kCosine);
-  uint64_t m = 0, ef_construction = 0, ef_search = 0, seed = 0;
-  uint64_t dim = 0, n = 0;
-  int32_t max_level = -1;
-  uint32_t entry_point = 0;
-  if (!legacy && !ReadPod(in, &metric)) {
-    return Status::IoError("truncated hnsw header");
-  }
-  if (!ReadPod(in, &m) || !ReadPod(in, &ef_construction) ||
-      !ReadPod(in, &ef_search) || !ReadPod(in, &seed) || !ReadPod(in, &dim) ||
-      !ReadPod(in, &n) || !ReadPod(in, &max_level) ||
-      !ReadPod(in, &entry_point)) {
-    return Status::IoError("truncated hnsw header");
-  }
-  if (metric > static_cast<uint32_t>(Metric::kL2) || dim == 0 ||
-      dim > (1u << 20) || m == 0 || m > (1u << 16) || n > (1ull << 32)) {
-    return Status::ParseError("implausible hnsw header");
-  }
-  HnswOptions options;
-  options.m = static_cast<size_t>(m);
-  options.ef_construction = static_cast<size_t>(ef_construction);
-  options.ef_search = static_cast<size_t>(ef_search);
-  options.seed = seed;
-  HnswIndex index(dim, options, static_cast<Metric>(metric));
-  index.max_level_ = max_level;
-  index.entry_point_ = entry_point;
-  index.payloads_.resize(n);
-  for (auto& p : index.payloads_) {
-    uint64_t v = 0;
-    if (!ReadPod(in, &v)) return Status::IoError("truncated hnsw payloads");
-    p = static_cast<size_t>(v);
-  }
-  index.data_.resize(n * dim);
-  in.read(reinterpret_cast<char*>(index.data_.data()),
-          static_cast<std::streamsize>(index.data_.size() * sizeof(float)));
-  if (!in) return Status::IoError("truncated hnsw vectors");
-  index.nodes_.resize(n);
-  for (Node& node : index.nodes_) {
-    int32_t level = 0;
-    if (!ReadPod(in, &level)) return Status::IoError("truncated hnsw graph");
-    if (level < 0 || level > 64) return Status::ParseError("implausible hnsw level");
-    node.level = level;
-    node.neighbours.resize(static_cast<size_t>(level) + 1);
-    for (auto& layer : node.neighbours) {
-      uint64_t count = 0;
-      if (!ReadPod(in, &count) || count > n) {
-        return Status::IoError("truncated hnsw neighbour list");
-      }
-      layer.resize(count);
-      in.read(reinterpret_cast<char*>(layer.data()),
-              static_cast<std::streamsize>(count * sizeof(uint32_t)));
-      if (!in) return Status::IoError("truncated hnsw neighbour list");
-      for (uint32_t nb : layer) {
-        if (nb >= n) return Status::ParseError("hnsw neighbour out of range");
-      }
-    }
-  }
-  // Graph invariants Search relies on for safe indexing: the entry point
-  // exists and carries the top level, and a node listed as a neighbour at
-  // layer l has a neighbour list for layer l itself.
-  if (n > 0) {
-    if (index.entry_point_ >= n ||
-        index.nodes_[index.entry_point_].level != index.max_level_) {
-      return Status::ParseError("hnsw entry point inconsistent with graph");
-    }
-    for (const Node& node : index.nodes_) {
-      for (size_t l = 0; l < node.neighbours.size(); ++l) {
-        for (uint32_t nb : node.neighbours[l]) {
-          if (index.nodes_[nb].level < static_cast<int>(l)) {
-            return Status::ParseError("hnsw neighbour below its layer");
-          }
-        }
-      }
-    }
-  } else if (index.max_level_ != -1) {
-    return Status::ParseError("hnsw entry point inconsistent with graph");
-  }
-  return index;
 }
 
 }  // namespace tsfm::search

@@ -10,7 +10,6 @@
 #define TSFM_SEARCH_HNSW_H_
 
 #include <cstdint>
-#include <iosfwd>
 #include <utility>
 #include <vector>
 
@@ -34,13 +33,6 @@ namespace tsfm::search {
 /// cases anyway (pinned in tests/hnsw_test.cc).
 class HnswIndex : public VectorIndex {
  public:
-  /// Binary stream tag written by Save ("HNS2" — the layout with a metric
-  /// field). Streams tagged kLegacyFormatTag predate the field and load as
-  /// cosine.
-  static constexpr uint32_t kFormatTag = 0x484e5332;
-  /// Tag of pre-metric streams ("HNSW").
-  static constexpr uint32_t kLegacyFormatTag = 0x484e5357;
-
   HnswIndex(size_t dim, HnswOptions options = {}, Metric metric = Metric::kCosine);
 
   /// Inserts a vector with an opaque payload id.
@@ -57,17 +49,6 @@ class HnswIndex : public VectorIndex {
   Metric metric() const override { return metric_; }
 
   const HnswOptions& options() const { return options_; }
-
-  /// Serializes options, vectors, payloads, and the full layer graph, so a
-  /// loaded index answers queries identically without rebuilding.
-  Status Save(std::ostream& out) const override;
-
-  /// Restores an index whose format tag has already been consumed (see
-  /// LoadVectorIndex for the tagged entry point). `legacy` selects the
-  /// kLegacyFormatTag layout, which has no metric field and is always
-  /// cosine. The level RNG is re-seeded from the stored options, so later
-  /// Adds remain deterministic.
-  static Result<HnswIndex> Load(std::istream& in, bool legacy = false);
 
  private:
   struct Node {

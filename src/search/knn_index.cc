@@ -1,55 +1,23 @@
 #include "search/knn_index.h"
 
 #include <algorithm>
-#include <istream>
-#include <ostream>
 
 #include "kernels/kernels.h"
 #include "search/scan.h"
-#include "search/stream_io.h"
 #include "util/logging.h"
 #include "util/thread_pool.h"
 
 namespace tsfm::search {
 
-using io::ReadPod;
-using io::WritePod;
-
 KnnIndex::KnnIndex(size_t dim, Metric metric, Storage storage)
     : dim_(dim), metric_(metric), storage_(storage) {}
-
-KnnIndex::KnnIndex(KnnIndex&& other) noexcept
-    : dim_(other.dim_),
-      metric_(other.metric_),
-      storage_(other.storage_),
-      data_(std::move(other.data_)),
-      payloads_(std::move(other.payloads_)),
-      norms_(std::move(other.norms_)),
-      codec_(std::move(other.codec_)),
-      codes_(std::move(other.codes_)),
-      quantized_(other.quantized_.load(std::memory_order_acquire)) {}
-
-KnnIndex& KnnIndex::operator=(KnnIndex&& other) noexcept {
-  if (this == &other) return *this;
-  dim_ = other.dim_;
-  metric_ = other.metric_;
-  storage_ = other.storage_;
-  data_ = std::move(other.data_);
-  payloads_ = std::move(other.payloads_);
-  norms_ = std::move(other.norms_);
-  codec_ = std::move(other.codec_);
-  codes_ = std::move(other.codes_);
-  quantized_.store(other.quantized_.load(std::memory_order_acquire),
-                   std::memory_order_release);
-  return *this;
-}
 
 void KnnIndex::Add(size_t payload, const std::vector<float>& vec) {
   TSFM_CHECK_EQ(vec.size(), dim_);
   payloads_.push_back(payload);
   if (storage_ == Storage::kSq8 &&
       quantized_.load(std::memory_order_acquire)) {
-    // The codec is already pinned (trained, loaded, or seeded): encode
+    // The codec is already pinned (trained or seeded): encode
     // straight through it so the row joins the quantized scan.
     codes_.resize(codes_.size() + dim_);
     uint8_t* code = codes_.data() + codes_.size() - dim_;
@@ -94,21 +62,27 @@ const Sq8Codec* KnnIndex::sq8_codec() const {
   return &codec_;
 }
 
-std::vector<std::pair<size_t, float>> KnnIndex::Search(const std::vector<float>& query,
-                                                       size_t k) const {
-  if (k == 0 || query.size() != dim_ || payloads_.empty()) return {};
+std::vector<std::vector<ScanHit>> KnnIndex::ScanRows(const float* queries,
+                                                     size_t num_queries,
+                                                     size_t k) const {
   // The scan streams rows through the selected SIMD kernels; cosine
   // normalization (and the zero-norm -> kMaxCosineDistance rule) lives in
   // the kernel seam, not here.
-  std::vector<ScanHit> hits;
   if (storage_ == Storage::kSq8) {
     EnsureQuantized();
-    hits = ScanTopKSq8(query.data(), codes_.data(), codec_, norms_.data(),
-                       payloads_.size(), metric_, k);
-  } else {
-    hits = ScanTopK(query.data(), data_.data(), norms_.data(),
-                    payloads_.size(), dim_, metric_, k);
+    return ScanTopKMultiSq8(queries, num_queries, codes_.data(), codec_,
+                            norms_.data(), payloads_.size(), metric_, k);
   }
+  return ScanTopKMulti(queries, num_queries, data_.data(), norms_.data(),
+                       payloads_.size(), dim_, metric_, k);
+}
+
+std::vector<std::pair<size_t, float>> KnnIndex::Search(const std::vector<float>& query,
+                                                       size_t k) const {
+  if (k == 0 || query.size() != dim_ || payloads_.empty()) return {};
+  // A batch of one through the same multi-query scan SearchBatch runs.
+  const std::vector<std::vector<ScanHit>> batch = ScanRows(query.data(), 1, k);
+  const std::vector<ScanHit>& hits = batch[0];
   std::vector<std::pair<size_t, float>> out(hits.size());
   for (size_t i = 0; i < hits.size(); ++i) {
     out[i] = {payloads_[hits[i].row], hits[i].distance};
@@ -128,8 +102,6 @@ std::vector<std::vector<std::pair<size_t, float>>> KnnIndex::SearchBatch(
     if (queries[i].size() == dim_) valid.push_back(i);
   }
   if (valid.empty()) return results;
-  const bool sq8 = storage_ == Storage::kSq8;
-  if (sq8) EnsureQuantized();
 
   // Pack queries into chunks of up to kChunkQueries and give each chunk
   // one multi-query pass over the rows. The chunk bounds the scan's block
@@ -148,11 +120,7 @@ std::vector<std::vector<std::pair<size_t, float>>> KnnIndex::SearchBatch(
       const std::vector<float>& query = queries[valid[lo + j]];
       std::copy(query.begin(), query.end(), packed.begin() + j * dim_);
     }
-    std::vector<std::vector<ScanHit>> hits =
-        sq8 ? ScanTopKMultiSq8(packed.data(), count, codes_.data(), codec_,
-                               norms_.data(), payloads_.size(), metric_, k)
-            : ScanTopKMulti(packed.data(), count, data_.data(), norms_.data(),
-                            payloads_.size(), dim_, metric_, k);
+    std::vector<std::vector<ScanHit>> hits = ScanRows(packed.data(), count, k);
     for (size_t j = 0; j < count; ++j) {
       auto& out = results[valid[lo + j]];
       out.resize(hits[j].size());
@@ -167,104 +135,6 @@ std::vector<std::vector<std::pair<size_t, float>>> KnnIndex::SearchBatch(
     for (size_t c = 0; c < num_chunks; ++c) run_chunk(c);
   }
   return results;
-}
-
-Status KnnIndex::Save(std::ostream& out) const {
-  if (storage_ == Storage::kSq8) {
-    EnsureQuantized();
-    WritePod(out, kSq8FormatTag);
-    WritePod(out, static_cast<uint32_t>(metric_));
-    WritePod(out, static_cast<uint64_t>(dim_));
-    WritePod(out, static_cast<uint64_t>(payloads_.size()));
-    for (size_t p : payloads_) WritePod(out, static_cast<uint64_t>(p));
-    if (Status s = codec_.Save(out); !s.ok()) return s;
-    out.write(reinterpret_cast<const char*>(codes_.data()),
-              static_cast<std::streamsize>(codes_.size()));
-    if (!out) return Status::IoError("sq8 flat index write failed");
-    return Status::OK();
-  }
-  WritePod(out, kFormatTag);
-  WritePod(out, static_cast<uint32_t>(metric_));
-  WritePod(out, static_cast<uint64_t>(dim_));
-  WritePod(out, static_cast<uint64_t>(payloads_.size()));
-  for (size_t p : payloads_) WritePod(out, static_cast<uint64_t>(p));
-  out.write(reinterpret_cast<const char*>(data_.data()),
-            static_cast<std::streamsize>(data_.size() * sizeof(float)));
-  if (!out) return Status::IoError("flat index write failed");
-  return Status::OK();
-}
-
-namespace {
-
-struct FlatHeader {
-  uint32_t metric = 0;
-  uint64_t dim = 0;
-  uint64_t n = 0;
-};
-
-// Shared header + payload prefix of both flat layouts (tag already
-// consumed by the caller).
-Status ReadFlatPrefix(std::istream& in, FlatHeader* header,
-                      std::vector<size_t>* payloads) {
-  if (!ReadPod(in, &header->metric) || !ReadPod(in, &header->dim) ||
-      !ReadPod(in, &header->n)) {
-    return Status::IoError("truncated flat index header");
-  }
-  if (header->metric > static_cast<uint32_t>(Metric::kL2) ||
-      header->dim == 0 || header->dim > (1u << 20) ||
-      header->n > (1ull << 32)) {
-    return Status::ParseError("implausible flat index header");
-  }
-  payloads->resize(header->n);
-  for (auto& p : *payloads) {
-    uint64_t v = 0;
-    if (!ReadPod(in, &v)) return Status::IoError("truncated flat payloads");
-    p = static_cast<size_t>(v);
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
-Result<KnnIndex> KnnIndex::Load(std::istream& in) {
-  FlatHeader header;
-  std::vector<size_t> payloads;
-  if (Status s = ReadFlatPrefix(in, &header, &payloads); !s.ok()) return s;
-  KnnIndex index(header.dim, static_cast<Metric>(header.metric));
-  index.payloads_ = std::move(payloads);
-  index.data_.resize(header.n * header.dim);
-  in.read(reinterpret_cast<char*>(index.data_.data()),
-          static_cast<std::streamsize>(index.data_.size() * sizeof(float)));
-  if (!in) return Status::IoError("truncated flat vectors");
-  index.norms_.reserve(header.n);
-  for (uint64_t r = 0; r < header.n; ++r) {
-    index.norms_.push_back(
-        kernels::Norm(index.data_.data() + r * header.dim, header.dim));
-  }
-  return index;
-}
-
-Result<KnnIndex> KnnIndex::LoadSq8(std::istream& in) {
-  FlatHeader header;
-  std::vector<size_t> payloads;
-  if (Status s = ReadFlatPrefix(in, &header, &payloads); !s.ok()) return s;
-  auto codec = Sq8Codec::Load(in, header.dim);
-  if (!codec.ok()) return codec.status();
-  KnnIndex index(header.dim, static_cast<Metric>(header.metric),
-                 Storage::kSq8);
-  index.payloads_ = std::move(payloads);
-  index.codes_.resize(header.n * header.dim);
-  in.read(reinterpret_cast<char*>(index.codes_.data()),
-          static_cast<std::streamsize>(index.codes_.size()));
-  if (!in) return Status::IoError("truncated sq8 rows");
-  index.codec_ = std::move(codec).value();
-  index.norms_.reserve(header.n);
-  for (uint64_t r = 0; r < header.n; ++r) {
-    index.norms_.push_back(
-        index.codec_.DecodedNorm(index.codes_.data() + r * header.dim));
-  }
-  index.quantized_.store(true, std::memory_order_release);
-  return index;
 }
 
 }  // namespace tsfm::search

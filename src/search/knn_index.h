@@ -7,18 +7,17 @@
 //
 // With Storage::kSq8 the rows live as scalar-quantized bytes instead of
 // floats (4x smaller; see quantizer.h). Quantization is lazy: Add keeps
-// accumulating float rows, and the first Search/Save calibrates the codec
-// over everything added so far, encodes the rows, and drops the float
-// copies. An index restored from disk (or seeded via SeedSq8Codec) keeps
-// the persisted calibration and encodes later Adds directly, so a
-// save/load round-trip is faithful byte-for-byte.
+// accumulating float rows, and the first search (or sq8_codec() call)
+// calibrates the codec over everything added so far, encodes the rows, and
+// drops the float copies. An index seeded via SeedSq8Codec (how
+// LakeIndex::Load restores one) keeps that calibration and encodes later
+// Adds directly, so a save/load round-trip is faithful byte-for-byte.
 #ifndef TSFM_SEARCH_KNN_INDEX_H_
 #define TSFM_SEARCH_KNN_INDEX_H_
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <iosfwd>
 #include <utility>
 #include <vector>
 
@@ -32,19 +31,8 @@ namespace tsfm::search {
 /// \brief Brute-force exact kNN with payload ids (the kFlat backend).
 class KnnIndex : public VectorIndex {
  public:
-  /// Binary stream tag written by Save for float32 storage ("FLAT").
-  static constexpr uint32_t kFormatTag = 0x464c4154;
-
-  /// Binary stream tag written by Save for SQ8 storage ("FSQ8").
-  static constexpr uint32_t kSq8FormatTag = 0x38515346;
-
   explicit KnnIndex(size_t dim, Metric metric = Metric::kCosine,
                     Storage storage = Storage::kFloat32);
-
-  // The quantization mutex pins the defaults; moves carry every field and
-  // re-arm a fresh mutex (no search may overlap a move, same as Add).
-  KnnIndex(KnnIndex&& other) noexcept;
-  KnnIndex& operator=(KnnIndex&& other) noexcept;
 
   /// Adds a vector with an opaque payload id. Vector size must equal dim.
   void Add(size_t payload, const std::vector<float>& vec) override;
@@ -54,10 +42,10 @@ class KnnIndex : public VectorIndex {
   /// Cosine distance = 1 - cos(a, b); a zero vector has no direction, so
   /// it (or a zero query) scores kMaxCosineDistance and ranks after every
   /// vector that has one. k == 0 or a query of the wrong dimension returns
-  /// an empty list. The scan runs through the process's selected kernels
-  /// (see search/scan.h); under kSq8 it is the asymmetric
-  /// int8 scan with exact rescore (ScanTopKSq8), reporting distances in
-  /// decoded space.
+  /// an empty list. The query runs as a batch of one through SearchBatch's
+  /// multi-query scan and the process's selected kernels (see
+  /// search/scan.h); under kSq8 it is the asymmetric int8 scan with exact
+  /// rescore (ScanTopKMultiSq8), reporting distances in decoded space.
   std::vector<std::pair<size_t, float>> Search(const std::vector<float>& query,
                                                size_t k) const override;
 
@@ -92,16 +80,13 @@ class KnnIndex : public VectorIndex {
   /// float32 index.
   const Sq8Codec* sq8_codec() const;
 
-  Status Save(std::ostream& out) const override;
-
-  /// Restores a float32 index whose kFormatTag has already been consumed
-  /// (see LoadVectorIndex for the tagged entry point).
-  static Result<KnnIndex> Load(std::istream& in);
-
-  /// Restores an SQ8 index whose kSq8FormatTag has already been consumed.
-  static Result<KnnIndex> LoadSq8(std::istream& in);
-
  private:
+  // One multi-query scan over the stored rows (quantizing first under
+  // kSq8): the single scan body behind Search and SearchBatch.
+  std::vector<std::vector<ScanHit>> ScanRows(const float* queries,
+                                             size_t num_queries,
+                                             size_t k) const;
+
   // Calibrates + encodes the pending float rows on first use (kSq8 only).
   // Const because it is reached from Search: double-checked on quantized_
   // so the steady state is one relaxed-ish atomic load.

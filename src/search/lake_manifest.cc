@@ -67,8 +67,10 @@ Status SaveLakeManifest(const LakeManifest& manifest, const std::string& path) {
 }
 
 Result<LakeManifest> LoadLakeManifest(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
   if (!in) return Status::IoError("cannot open " + path);
+  const auto file_size = static_cast<uint64_t>(in.tellg());
+  in.seekg(0);
   uint32_t magic = 0, version = 0, backend = 0, metric = 0, storage = 0;
   uint64_t dim = 0, num_shards = 0;
   if (!ReadPod(in, &magic)) {
@@ -128,6 +130,14 @@ Result<LakeManifest> LoadLakeManifest(const std::string& path) {
   uint64_t num_tables = 0;
   if (!ReadPod(in, &num_tables) || num_tables > (1ull << 32)) {
     return Status::IoError("truncated lake manifest " + path);
+  }
+  // Each on-disk locator record is a u32 shard plus a u64 local handle:
+  // check the count against the bytes left before allocating for it.
+  constexpr uint64_t kLocatorRecordBytes = sizeof(uint32_t) + sizeof(uint64_t);
+  if (num_tables > (file_size - static_cast<uint64_t>(in.tellg())) /
+                       kLocatorRecordBytes) {
+    return Status::ParseError("lake manifest " + path +
+                              " claims more tables than the file holds");
   }
   manifest.locator.resize(num_tables);
   for (auto& [shard, local] : manifest.locator) {

@@ -15,10 +15,10 @@
 //
 // The codec owns the affine map only; the asymmetric float-query x
 // uint8-row kernels live in the kernel dispatch (kernels/kernels.h:
-// dot_many_sq8 / l2sq_many_sq8; the scan is search/scan.h: ScanTopKSq8), and
-// the quantized index storage lives in KnnIndex. Persistence is a tagged
-// "CSQ8" section embedded in the LAK2 / FSQ8 images so calibration
-// survives save/load bit-exactly.
+// dot_multi_sq8 / l2sq_multi_sq8; the scan is search/scan.h:
+// ScanTopKMultiSq8), and the quantized index storage lives in KnnIndex.
+// Persistence is a tagged "CSQ8" section embedded in the LAK2 image so
+// calibration survives save/load bit-exactly.
 #ifndef TSFM_SEARCH_QUANTIZER_H_
 #define TSFM_SEARCH_QUANTIZER_H_
 

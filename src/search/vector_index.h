@@ -4,21 +4,19 @@
 // column-embedding index; VectorIndex is the seam that lets that index be
 // either exact brute force (KnnIndex) or an HNSW graph (HnswIndex, the
 // substrate DeepJoin uses at scale) without the ranking stack caring which.
-// Backends are chosen with IndexOptions and constructed via MakeVectorIndex;
-// both serialize to a tagged binary stream so an offline builder and an
-// online server can exchange ready-built indexes.
+// Backends are chosen with IndexOptions and constructed via MakeVectorIndex.
+// An index has no file format of its own: a saved lake stores its raw
+// columns and rebuilds the index on load (see lake_index.h).
 #ifndef TSFM_SEARCH_VECTOR_INDEX_H_
 #define TSFM_SEARCH_VECTOR_INDEX_H_
 
 #include <cstddef>
 #include <cstdint>
-#include <iosfwd>
 #include <memory>
 #include <utility>
 #include <vector>
 
 #include "search/scan.h"  // Metric + the kernel seam below it
-#include "util/status.h"
 
 namespace tsfm {
 class ThreadPool;
@@ -98,19 +96,11 @@ class VectorIndex {
   virtual size_t dim() const = 0;
   virtual IndexBackend backend() const = 0;
   virtual Metric metric() const = 0;
-
-  /// Writes a self-describing binary image (backend tag + payload) that
-  /// LoadVectorIndex can restore.
-  virtual Status Save(std::ostream& out) const = 0;
 };
 
 /// Constructs an empty index of the requested backend.
 std::unique_ptr<VectorIndex> MakeVectorIndex(size_t dim,
                                              const IndexOptions& options = {});
-
-/// Restores an index written by VectorIndex::Save, dispatching on the
-/// backend tag.
-Result<std::unique_ptr<VectorIndex>> LoadVectorIndex(std::istream& in);
 
 }  // namespace tsfm::search
 

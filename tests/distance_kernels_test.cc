@@ -1,7 +1,8 @@
 // The distance slots of the kernel seam (kernels/kernels.h) and the scans
 // above them (search/scan.h): scalar/SIMD agreement (the 1e-4 relative
 // tolerance contract), exact tail handling, the cosine normalization and
-// zero-norm semantics the seam owns, ScanTopK vs the pairwise kernels,
+// zero-norm semantics the seam owns, the multi-query kernels' and scans'
+// batch invariance, the flat scan vs the pairwise kernels,
 // dispatch selection (including the LAKS_FORCE_SCALAR override), and
 // end-to-end lake parity between kernel sets. The encoder slots (GEMM,
 // GELU) are covered by kernels_test.cc.
@@ -52,6 +53,23 @@ void ExpectWithinContract(float a, float b) {
   EXPECT_LE(std::abs(a - b), 1e-4f * scale) << a << " vs " << b;
 }
 
+// Cosine distance of a and b with every dot product taken by `set`.
+float CosineFrom(const KernelDispatch& set, const float* a, const float* b,
+                 size_t n) {
+  return CosineDistanceFromDot(set.dot(a, b, n), std::sqrt(set.dot(a, a, n)),
+                               std::sqrt(set.dot(b, b, n)));
+}
+
+// `count` random vectors of length `dim`, packed row-major.
+std::vector<float> RandomPacked(Rng* rng, size_t count, size_t dim) {
+  std::vector<float> packed;
+  for (size_t i = 0; i < count; ++i) {
+    const auto v = RandomVec(rng, dim);
+    packed.insert(packed.end(), v.begin(), v.end());
+  }
+  return packed;
+}
+
 // ------------------------------------------------- scalar/SIMD agreement
 
 TEST(DistanceKernelsTest, KernelSetsAgreeAcrossDims) {
@@ -71,13 +89,14 @@ TEST(DistanceKernelsTest, KernelSetsAgreeAcrossDims) {
                            best.dot(a.data(), b.data(), dim));
       ExpectWithinContract(scalar.l2sq(a.data(), b.data(), dim),
                            best.l2sq(a.data(), b.data(), dim));
-      ExpectWithinContract(scalar.cosine(a.data(), b.data(), dim),
-                           best.cosine(a.data(), b.data(), dim));
-      // The batch kernels must agree with their pairwise counterparts too
-      // (their row blocking changes the accumulation order).
+      ExpectWithinContract(CosineFrom(scalar, a.data(), b.data(), dim),
+                           CosineFrom(best, a.data(), b.data(), dim));
+      // The multi-query kernels must agree with their pairwise
+      // counterparts too (their register tile may change the accumulation
+      // order).
       float batch_scalar = 0.0f, batch_best = 0.0f;
-      scalar.dot_many(a.data(), b.data(), 1, dim, &batch_scalar);
-      best.dot_many(a.data(), b.data(), 1, dim, &batch_best);
+      scalar.dot_multi(a.data(), 1, b.data(), 1, dim, &batch_scalar);
+      best.dot_multi(a.data(), 1, b.data(), 1, dim, &batch_best);
       ExpectWithinContract(batch_scalar, batch_best);
       ExpectWithinContract(scalar.dot(a.data(), b.data(), dim), batch_best);
     }
@@ -85,53 +104,89 @@ TEST(DistanceKernelsTest, KernelSetsAgreeAcrossDims) {
 }
 
 TEST(DistanceKernelsTest, BatchKernelsMatchPairwiseAcrossRowCounts) {
-  // 1..9 rows exercises the 4-row blocked main loop and every remainder.
+  // 1..9 rows exercises the 4-row blocked main loop and every remainder;
+  // 1..3 queries the 2-query tile and its odd-query remainder.
   Rng rng(67);
   for (size_t dim : {7u, 8u, 19u, 64u}) {
-    const auto query = RandomVec(&rng, dim);
-    for (size_t rows = 1; rows <= 9; ++rows) {
-      std::vector<float> data;
-      for (size_t r = 0; r < rows; ++r) {
-        const auto v = RandomVec(&rng, dim);
-        data.insert(data.end(), v.begin(), v.end());
-      }
-      for (const KernelDispatch* kd : {&ScalarKernels(), &BestKernels()}) {
-        std::vector<float> dots(rows), l2s(rows);
-        kd->dot_many(query.data(), data.data(), rows, dim, dots.data());
-        kd->l2sq_many(query.data(), data.data(), rows, dim, l2s.data());
-        for (size_t r = 0; r < rows; ++r) {
-          ExpectWithinContract(dots[r],
-                               kd->dot(query.data(), data.data() + r * dim, dim));
-          ExpectWithinContract(
-              l2s[r], kd->l2sq(query.data(), data.data() + r * dim, dim));
+    for (size_t nq = 1; nq <= 3; ++nq) {
+      const auto queries = RandomPacked(&rng, nq, dim);
+      for (size_t rows = 1; rows <= 9; ++rows) {
+        const auto data = RandomPacked(&rng, rows, dim);
+        for (const KernelDispatch* kd : {&ScalarKernels(), &BestKernels()}) {
+          std::vector<float> dots(nq * rows), l2s(nq * rows);
+          kd->dot_multi(queries.data(), nq, data.data(), rows, dim,
+                        dots.data());
+          kd->l2sq_multi(queries.data(), nq, data.data(), rows, dim,
+                         l2s.data());
+          for (size_t q = 0; q < nq; ++q) {
+            const float* query = queries.data() + q * dim;
+            for (size_t r = 0; r < rows; ++r) {
+              ExpectWithinContract(dots[q * rows + r],
+                                   kd->dot(query, data.data() + r * dim, dim));
+              ExpectWithinContract(l2s[q * rows + r],
+                                   kd->l2sq(query, data.data() + r * dim, dim));
+            }
+          }
         }
       }
     }
   }
 }
 
+std::vector<float> SmallIntegers(Rng* rng, size_t n) {
+  std::vector<float> v(n);
+  for (auto& x : v) {
+    x = static_cast<float>(static_cast<int>(rng->UniformDouble(-9, 9)));
+  }
+  return v;
+}
+
 TEST(DistanceKernelsTest, IntegerVectorsAreExactIncludingTails) {
   // Small-integer floats make every partial product exact, so any
   // accumulation order must produce the identical sum — a wrong tail mask
   // (reading a lane too many or too few) shows up as an exact mismatch.
+  // Rows 1..9 x queries 1..3 drive the multi kernels' 2×4 tile, its
+  // odd-query 1×4 tile (both with masked dim tails) and the pairwise
+  // remainder rows.
   Rng rng(43);
+  constexpr size_t kMaxRows = 9, kMaxQueries = 3;
   for (size_t dim = 1; dim <= 40; ++dim) {
-    std::vector<float> a(dim), b(dim);
-    for (size_t i = 0; i < dim; ++i) {
-      a[i] = static_cast<float>(static_cast<int>(rng.UniformDouble(-9, 9)));
-      b[i] = static_cast<float>(static_cast<int>(rng.UniformDouble(-9, 9)));
-    }
-    float expected_dot = 0.0f, expected_l2 = 0.0f;
-    for (size_t i = 0; i < dim; ++i) {
-      expected_dot += a[i] * b[i];
-      const float d = a[i] - b[i];
-      expected_l2 += d * d;
-    }
+    const auto rows = SmallIntegers(&rng, kMaxRows * dim);
+    const auto queries = SmallIntegers(&rng, kMaxQueries * dim);
+    auto expected = [&](size_t q, size_t r, bool l2) {
+      float sum = 0.0f;
+      for (size_t i = 0; i < dim; ++i) {
+        const float a = queries[q * dim + i], b = rows[r * dim + i];
+        sum += l2 ? (a - b) * (a - b) : a * b;
+      }
+      return sum;
+    };
     for (const KernelDispatch* kd : {&ScalarKernels(), &BestKernels()}) {
-      EXPECT_EQ(kd->dot(a.data(), b.data(), dim), expected_dot)
+      EXPECT_EQ(kd->dot(queries.data(), rows.data(), dim),
+                expected(0, 0, false))
           << kd->name << " dim " << dim;
-      EXPECT_EQ(kd->l2sq(a.data(), b.data(), dim), expected_l2)
+      EXPECT_EQ(kd->l2sq(queries.data(), rows.data(), dim),
+                expected(0, 0, true))
           << kd->name << " dim " << dim;
+      for (size_t num_rows = 1; num_rows <= kMaxRows; ++num_rows) {
+        for (size_t nq = 1; nq <= kMaxQueries; ++nq) {
+          std::vector<float> dots(nq * num_rows), l2s(nq * num_rows);
+          kd->dot_multi(queries.data(), nq, rows.data(), num_rows, dim,
+                        dots.data());
+          kd->l2sq_multi(queries.data(), nq, rows.data(), num_rows, dim,
+                         l2s.data());
+          for (size_t q = 0; q < nq; ++q) {
+            for (size_t r = 0; r < num_rows; ++r) {
+              EXPECT_EQ(dots[q * num_rows + r], expected(q, r, false))
+                  << kd->name << " dim " << dim << " rows " << num_rows
+                  << " nq " << nq << " q " << q << " r " << r;
+              EXPECT_EQ(l2s[q * num_rows + r], expected(q, r, true))
+                  << kd->name << " dim " << dim << " rows " << num_rows
+                  << " nq " << nq << " q " << q << " r " << r;
+            }
+          }
+        }
+      }
     }
   }
 }
@@ -161,41 +216,48 @@ TEST(DistanceKernelsTest, Sq8KernelSetsAgreeAcrossDims) {
       const auto q = RandomVec(&rng, dim);
       const auto row = RandomCodes(&rng, dim);
       float dot_scalar = 0.0f, dot_best = 0.0f;
-      scalar.dot_many_sq8(q.data(), row.data(), 1, dim, &dot_scalar);
-      best.dot_many_sq8(q.data(), row.data(), 1, dim, &dot_best);
+      scalar.dot_multi_sq8(q.data(), 1, row.data(), 1, dim, &dot_scalar);
+      best.dot_multi_sq8(q.data(), 1, row.data(), 1, dim, &dot_best);
       ExpectWithinContract(dot_scalar, dot_best);
       float l2_scalar = 0.0f, l2_best = 0.0f;
-      scalar.l2sq_many_sq8(q.data(), row.data(), 1, dim, &l2_scalar);
-      best.l2sq_many_sq8(q.data(), row.data(), 1, dim, &l2_best);
+      scalar.l2sq_multi_sq8(q.data(), 1, row.data(), 1, dim, &l2_scalar);
+      best.l2sq_multi_sq8(q.data(), 1, row.data(), 1, dim, &l2_best);
       ExpectWithinContract(l2_scalar, l2_best);
     }
   }
 }
 
 TEST(DistanceKernelsTest, Sq8BatchKernelsMatchReferenceAcrossRowCounts) {
-  // 1..9 rows exercises the 4-rows-abreast main loop and every remainder.
+  // 1..9 rows exercises the 4-rows-abreast main loop and every remainder;
+  // 1..3 queries the 2-query tile and its odd-query remainder.
   Rng rng(157);
   for (size_t dim : {7u, 8u, 19u, 64u}) {
-    const auto query = RandomVec(&rng, dim);
-    for (size_t rows = 1; rows <= 9; ++rows) {
-      const auto codes = RandomCodes(&rng, rows * dim);
-      // Reference: per-row scalar accumulation over widened bytes.
-      std::vector<float> ref_dot(rows, 0.0f), ref_l2(rows, 0.0f);
-      for (size_t r = 0; r < rows; ++r) {
-        for (size_t i = 0; i < dim; ++i) {
-          const float u = static_cast<float>(codes[r * dim + i]);
-          ref_dot[r] += query[i] * u;
-          const float d = query[i] - u;
-          ref_l2[r] += d * d;
+    for (size_t nq = 1; nq <= 3; ++nq) {
+      const auto queries = RandomPacked(&rng, nq, dim);
+      for (size_t rows = 1; rows <= 9; ++rows) {
+        const auto codes = RandomCodes(&rng, rows * dim);
+        // Reference: per-pair scalar accumulation over widened bytes.
+        std::vector<float> ref_dot(nq * rows, 0.0f), ref_l2(nq * rows, 0.0f);
+        for (size_t q = 0; q < nq; ++q) {
+          for (size_t r = 0; r < rows; ++r) {
+            for (size_t i = 0; i < dim; ++i) {
+              const float x = queries[q * dim + i];
+              const float u = static_cast<float>(codes[r * dim + i]);
+              ref_dot[q * rows + r] += x * u;
+              ref_l2[q * rows + r] += (x - u) * (x - u);
+            }
+          }
         }
-      }
-      for (const KernelDispatch* kd : {&ScalarKernels(), &BestKernels()}) {
-        std::vector<float> dots(rows), l2s(rows);
-        kd->dot_many_sq8(query.data(), codes.data(), rows, dim, dots.data());
-        kd->l2sq_many_sq8(query.data(), codes.data(), rows, dim, l2s.data());
-        for (size_t r = 0; r < rows; ++r) {
-          ExpectWithinContract(dots[r], ref_dot[r]);
-          ExpectWithinContract(l2s[r], ref_l2[r]);
+        for (const KernelDispatch* kd : {&ScalarKernels(), &BestKernels()}) {
+          std::vector<float> dots(nq * rows), l2s(nq * rows);
+          kd->dot_multi_sq8(queries.data(), nq, codes.data(), rows, dim,
+                            dots.data());
+          kd->l2sq_multi_sq8(queries.data(), nq, codes.data(), rows, dim,
+                             l2s.data());
+          for (size_t i = 0; i < nq * rows; ++i) {
+            ExpectWithinContract(dots[i], ref_dot[i]);
+            ExpectWithinContract(l2s[i], ref_l2[i]);
+          }
         }
       }
     }
@@ -205,46 +267,71 @@ TEST(DistanceKernelsTest, Sq8BatchKernelsMatchReferenceAcrossRowCounts) {
 TEST(DistanceKernelsTest, Sq8IntegerQueriesAreExactIncludingTails) {
   // Small-integer queries against u8 codes make every partial product
   // exact — any tail-handling bug (a byte too many or too few) shows up
-  // as an exact mismatch on some dim in 1..40.
+  // as an exact mismatch on some dim in 1..40. Rows 1..9 x queries 1..3
+  // drive the 2×4 tile, the odd-query 1×4 tile (both with scalar dim
+  // tails) and the pairwise remainder rows.
   Rng rng(163);
+  constexpr size_t kMaxRows = 9, kMaxQueries = 3;
   for (size_t dim = 1; dim <= 40; ++dim) {
-    std::vector<float> q(dim);
-    for (auto& x : q) {
-      x = static_cast<float>(static_cast<int>(rng.UniformDouble(-9, 9)));
-    }
-    const auto codes = RandomCodes(&rng, dim);
-    float expected_dot = 0.0f, expected_l2 = 0.0f;
-    for (size_t i = 0; i < dim; ++i) {
-      const float u = static_cast<float>(codes[i]);
-      expected_dot += q[i] * u;
-      const float d = q[i] - u;
-      expected_l2 += d * d;
-    }
+    const auto queries = SmallIntegers(&rng, kMaxQueries * dim);
+    const auto codes = RandomCodes(&rng, kMaxRows * dim);
+    auto expected = [&](size_t q, size_t r, bool l2) {
+      float sum = 0.0f;
+      for (size_t i = 0; i < dim; ++i) {
+        const float x = queries[q * dim + i];
+        const float u = static_cast<float>(codes[r * dim + i]);
+        sum += l2 ? (x - u) * (x - u) : x * u;
+      }
+      return sum;
+    };
     for (const KernelDispatch* kd : {&ScalarKernels(), &BestKernels()}) {
-      float dot = 0.0f, l2 = 0.0f;
-      kd->dot_many_sq8(q.data(), codes.data(), 1, dim, &dot);
-      kd->l2sq_many_sq8(q.data(), codes.data(), 1, dim, &l2);
-      EXPECT_EQ(dot, expected_dot) << kd->name << " dim " << dim;
-      EXPECT_EQ(l2, expected_l2) << kd->name << " dim " << dim;
+      for (size_t num_rows = 1; num_rows <= kMaxRows; ++num_rows) {
+        for (size_t nq = 1; nq <= kMaxQueries; ++nq) {
+          std::vector<float> dots(nq * num_rows), l2s(nq * num_rows);
+          kd->dot_multi_sq8(queries.data(), nq, codes.data(), num_rows, dim,
+                            dots.data());
+          kd->l2sq_multi_sq8(queries.data(), nq, codes.data(), num_rows, dim,
+                             l2s.data());
+          for (size_t q = 0; q < nq; ++q) {
+            for (size_t r = 0; r < num_rows; ++r) {
+              EXPECT_EQ(dots[q * num_rows + r], expected(q, r, false))
+                  << kd->name << " dim " << dim << " rows " << num_rows
+                  << " nq " << nq << " q " << q << " r " << r;
+              EXPECT_EQ(l2s[q * num_rows + r], expected(q, r, true))
+                  << kd->name << " dim " << dim << " rows " << num_rows
+                  << " nq " << nq << " q " << q << " r " << r;
+            }
+          }
+        }
+      }
     }
   }
 }
 
 // ------------------------------------------------------ cosine semantics
 
+// Cosine distance the way the seam computes it: the selected set's dot and
+// Norm, normalized by CosineDistanceFromDot.
+float SeamCosine(const std::vector<float>& a, const std::vector<float>& b) {
+  return CosineDistanceFromDot(Kernels().dot(a.data(), b.data(), a.size()),
+                               kernels::Norm(a.data(), a.size()),
+                               kernels::Norm(b.data(), b.size()));
+}
+
 TEST(DistanceKernelsTest, CosineKernelNormalizesInternally) {
   // Scaling either argument must not change the distance: normalization is
-  // the kernel's job, never a caller-side division.
+  // the seam's job (CosineDistanceFromDot), never a caller-side division.
   Rng rng(47);
   const size_t dim = 13;
   const auto a = RandomVec(&rng, dim);
   auto b = RandomVec(&rng, dim);
   for (const KernelDispatch* kd : {&ScalarKernels(), &BestKernels()}) {
-    const float base = kd->cosine(a.data(), b.data(), dim);
+    ScopedKernels pin(*kd);
+    const float base = SeamCosine(a, b);
     std::vector<float> scaled = b;
     for (auto& x : scaled) x *= 7.5f;
-    ExpectWithinContract(base, kd->cosine(a.data(), scaled.data(), dim));
-    EXPECT_NEAR(kd->cosine(a.data(), a.data(), dim), 0.0f, 1e-5f);
+    ExpectWithinContract(base, SeamCosine(a, scaled));
+    EXPECT_NEAR(SeamCosine(a, a), 0.0f, 1e-5f);
   }
 }
 
@@ -253,14 +340,15 @@ TEST(DistanceKernelsTest, ZeroNormVectorsScoreMaxCosineDistance) {
   Rng rng(53);
   const auto x = RandomVec(&rng, 11);
   for (const KernelDispatch* kd : {&ScalarKernels(), &BestKernels()}) {
-    EXPECT_EQ(kd->cosine(zero.data(), x.data(), 11), kMaxCosineDistance);
-    EXPECT_EQ(kd->cosine(x.data(), zero.data(), 11), kMaxCosineDistance);
-    EXPECT_EQ(kd->cosine(zero.data(), zero.data(), 11), kMaxCosineDistance);
+    ScopedKernels pin(*kd);
+    EXPECT_EQ(SeamCosine(zero, x), kMaxCosineDistance);
+    EXPECT_EQ(SeamCosine(x, zero), kMaxCosineDistance);
+    EXPECT_EQ(SeamCosine(zero, zero), kMaxCosineDistance);
   }
   EXPECT_EQ(CosineDistanceFromDot(0.0f, 0.0f, 1.0f), kMaxCosineDistance);
 }
 
-// --------------------------------------------------------------- ScanTopK
+// ---------------------------------------------------------- the flat scan
 
 TEST(DistanceKernelsTest, ScanTopKMatchesPairwiseKernels) {
   Rng rng(59);
@@ -293,14 +381,16 @@ TEST(DistanceKernelsTest, ScanTopKMatchesPairwiseKernels) {
       }
       std::sort(ref.begin(), ref.end());
       for (size_t k : {1u, 7u, 64u, 300u, 500u}) {
-        auto hits = ScanTopK(*kd, query.data(), data.data(), norms.data(),
-                             rows, dim, metric, k);
+        auto batch = ScanTopKMulti(*kd, query.data(), 1, data.data(),
+                                   norms.data(), rows, dim, metric, k);
+        ASSERT_EQ(batch.size(), 1u);
+        const auto& hits = batch[0];
         ASSERT_EQ(hits.size(), std::min<size_t>(k, rows));
         for (size_t i = 0; i < hits.size(); ++i) {
           EXPECT_EQ(hits[i].row, ref[i].second) << kd->name << " k=" << k;
-          // The scan streams through the *_many kernels, whose accumulation
-          // order may differ from the pairwise kernels — values agree within
-          // the tolerance contract, not bit-exactly.
+          // The scan streams through the *_multi kernels, whose
+          // accumulation order may differ from the pairwise kernels —
+          // values agree within the tolerance contract, not bit-exactly.
           ExpectWithinContract(hits[i].distance, ref[i].first);
         }
       }
@@ -309,12 +399,19 @@ TEST(DistanceKernelsTest, ScanTopKMatchesPairwiseKernels) {
 }
 
 TEST(DistanceKernelsTest, ScanTopKDegenerateInputs) {
+  // No rows or k == 0: one empty hit list per query; no queries: no lists.
   const std::vector<float> query = {1.0f, 0.0f};
-  EXPECT_TRUE(
-      ScanTopK(query.data(), nullptr, nullptr, 0, 2, Metric::kL2, 5).empty());
+  const auto no_rows =
+      ScanTopKMulti(query.data(), 1, nullptr, nullptr, 0, 2, Metric::kL2, 5);
+  ASSERT_EQ(no_rows.size(), 1u);
+  EXPECT_TRUE(no_rows[0].empty());
   const std::vector<float> rows = {0.5f, 0.5f};
+  const auto no_k =
+      ScanTopKMulti(query.data(), 1, rows.data(), nullptr, 1, 2, Metric::kL2, 0);
+  ASSERT_EQ(no_k.size(), 1u);
+  EXPECT_TRUE(no_k[0].empty());
   EXPECT_TRUE(
-      ScanTopK(query.data(), rows.data(), nullptr, 1, 2, Metric::kL2, 0)
+      ScanTopKMulti(query.data(), 0, rows.data(), nullptr, 1, 2, Metric::kL2, 5)
           .empty());
 }
 
@@ -322,9 +419,10 @@ TEST(DistanceKernelsTest, ScanTopKDegenerateInputs) {
 
 TEST(DistanceKernelsTest, MultiKernelsBitIdenticalToSingleQueryBatch) {
   // The documented multi-kernel contract: out[q * rows + r] is
-  // BIT-IDENTICAL to what the same dispatch's single-query batch kernel
-  // returns for (query q, row r) — the register tiling may reorder rows
-  // and queries but never an accumulation. Row counts 1..9 cover the
+  // BIT-IDENTICAL to what the same dispatch returns for query q run alone
+  // (num_queries = 1) against row r — the register tiling may reorder rows
+  // and queries but never an accumulation, so a query's position in the
+  // batch and the batch size change nothing. Row counts 1..9 cover the
   // 4-row tile and every remainder; query counts 1..5 cover the 2-query
   // tile, its odd-query remainder, and the degenerate single query.
   Rng rng(211);
@@ -348,8 +446,8 @@ TEST(DistanceKernelsTest, MultiKernelsBitIdenticalToSingleQueryBatch) {
           kd->dot_multi(queries.data(), nq, data.data(), rows, dim,
                         multi.data());
           for (size_t q = 0; q < nq; ++q) {
-            kd->dot_many(queries.data() + q * dim, data.data(), rows, dim,
-                         single.data());
+            kd->dot_multi(queries.data() + q * dim, 1, data.data(), rows, dim,
+                          single.data());
             for (size_t r = 0; r < rows; ++r) {
               EXPECT_EQ(multi[q * rows + r], single[r])
                   << kd->name << " dot dim=" << dim << " rows=" << rows
@@ -359,8 +457,8 @@ TEST(DistanceKernelsTest, MultiKernelsBitIdenticalToSingleQueryBatch) {
           kd->l2sq_multi(queries.data(), nq, data.data(), rows, dim,
                          multi.data());
           for (size_t q = 0; q < nq; ++q) {
-            kd->l2sq_many(queries.data() + q * dim, data.data(), rows, dim,
-                          single.data());
+            kd->l2sq_multi(queries.data() + q * dim, 1, data.data(), rows,
+                           dim, single.data());
             for (size_t r = 0; r < rows; ++r) {
               EXPECT_EQ(multi[q * rows + r], single[r])
                   << kd->name << " l2sq dim=" << dim << " rows=" << rows
@@ -370,8 +468,8 @@ TEST(DistanceKernelsTest, MultiKernelsBitIdenticalToSingleQueryBatch) {
           kd->dot_multi_sq8(queries.data(), nq, codes.data(), rows, dim,
                             multi.data());
           for (size_t q = 0; q < nq; ++q) {
-            kd->dot_many_sq8(queries.data() + q * dim, codes.data(), rows,
-                             dim, single.data());
+            kd->dot_multi_sq8(queries.data() + q * dim, 1, codes.data(),
+                              rows, dim, single.data());
             for (size_t r = 0; r < rows; ++r) {
               EXPECT_EQ(multi[q * rows + r], single[r])
                   << kd->name << " dot_sq8 dim=" << dim << " rows=" << rows
@@ -381,8 +479,8 @@ TEST(DistanceKernelsTest, MultiKernelsBitIdenticalToSingleQueryBatch) {
           kd->l2sq_multi_sq8(queries.data(), nq, codes.data(), rows, dim,
                              multi.data());
           for (size_t q = 0; q < nq; ++q) {
-            kd->l2sq_many_sq8(queries.data() + q * dim, codes.data(), rows,
-                              dim, single.data());
+            kd->l2sq_multi_sq8(queries.data() + q * dim, 1, codes.data(),
+                               rows, dim, single.data());
             for (size_t r = 0; r < rows; ++r) {
               EXPECT_EQ(multi[q * rows + r], single[r])
                   << kd->name << " l2sq_sq8 dim=" << dim << " rows=" << rows
@@ -396,9 +494,10 @@ TEST(DistanceKernelsTest, MultiKernelsBitIdenticalToSingleQueryBatch) {
 }
 
 TEST(DistanceKernelsTest, ScanTopKMultiBitIdenticalToPerQueryScan) {
-  // The whole point of the multi scan: the batch path may not change ANY
-  // answer. 600 rows crosses the 512-row block boundary; dims include
-  // sub-8 tails; a zero-norm row exercises kMaxCosineDistance ranking.
+  // The whole point of the multi scan: batching may not change ANY answer,
+  // so each query gets exactly the hits it gets scanned alone. 600 rows
+  // crosses the 512-row block boundary; dims include sub-8 tails; a
+  // zero-norm row exercises kMaxCosineDistance ranking.
   Rng rng(223);
   for (size_t dim : {5u, 19u, 64u}) {
     const size_t rows = 600;
@@ -425,8 +524,9 @@ TEST(DistanceKernelsTest, ScanTopKMultiBitIdenticalToPerQueryScan) {
                                      norms.data(), rows, dim, metric, 10);
           ASSERT_EQ(multi.size(), nq);
           for (size_t q = 0; q < nq; ++q) {
-            auto single = ScanTopK(*kd, queries.data() + q * dim, data.data(),
-                                   norms.data(), rows, dim, metric, 10);
+            const auto single =
+                ScanTopKMulti(*kd, queries.data() + q * dim, 1, data.data(),
+                              norms.data(), rows, dim, metric, 10)[0];
             ASSERT_EQ(multi[q].size(), single.size());
             for (size_t i = 0; i < single.size(); ++i) {
               EXPECT_EQ(multi[q][i].row, single[i].row)
@@ -472,9 +572,9 @@ TEST(DistanceKernelsTest, ScanTopKMultiSq8BitIdenticalToPerQueryScan) {
                                norms.data(), rows, metric, 10);
           ASSERT_EQ(multi.size(), nq);
           for (size_t q = 0; q < nq; ++q) {
-            auto single =
-                ScanTopKSq8(*kd, queries.data() + q * dim, codes.data(),
-                            codec, norms.data(), rows, metric, 10);
+            const auto single =
+                ScanTopKMultiSq8(*kd, queries.data() + q * dim, 1, codes.data(),
+                                 codec, norms.data(), rows, metric, 10)[0];
             ASSERT_EQ(multi[q].size(), single.size());
             for (size_t i = 0; i < single.size(); ++i) {
               EXPECT_EQ(multi[q][i].row, single[i].row)

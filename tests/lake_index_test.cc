@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <string>
+#include <vector>
 
 #include "search/lake_index.h"
 #include "search/sharded_lake_index.h"
+#include "util/random.h"
 #include "util/thread_pool.h"
 
 namespace tsfm::search {
@@ -18,6 +22,17 @@ LakeIndex MakeToyIndex(const IndexOptions& options = {}) {
   index.AddTable("sales_q2", {{0.9f, 0.1f, 0}, {0, 0.9f, 0.1f}});
   index.AddTable("weather", {{0, 0, 1}});
   return index;
+}
+
+std::vector<float> RandomUnit(size_t dim, Rng* rng) {
+  std::vector<float> v(dim);
+  double norm = 0;
+  for (auto& x : v) {
+    x = static_cast<float>(rng->Normal());
+    norm += static_cast<double>(x) * x;
+  }
+  for (auto& x : v) x = static_cast<float>(x / std::sqrt(norm));
+  return v;
 }
 
 ShardedLakeIndex MakeToyLake() {
@@ -124,6 +139,51 @@ TEST(LakeIndexTest, Sq8RoundTripFaithfulAfterPostTrainingAdds) {
        {std::vector<float>{1, 0, 0}, {9, -9, 9}}) {
     EXPECT_EQ(loaded.value().QueryJoinable(q, 3), index.QueryJoinable(q, 3));
   }
+  std::remove(path.c_str());
+}
+
+TEST(LakeIndexTest, HnswL2MetricSurvivesRoundTrip) {
+  // The file records the metric, and the HNSW graph rebuilt from the saved
+  // columns answers exactly like the writer's.
+  IndexOptions options;
+  options.backend = IndexBackend::kHnsw;
+  options.metric = Metric::kL2;
+  LakeIndex segment(6, options);
+  Rng rng(11);
+  for (size_t t = 0; t < 50; ++t) {
+    std::vector<float> col(6);
+    for (auto& x : col) x = static_cast<float>(rng.Normal());
+    segment.AddTable("t" + std::to_string(t), {col});
+  }
+  std::string path = testing::TempDir() + "/tsfm_lake_hnsw_l2.bin";
+  ASSERT_TRUE(segment.Save(path).ok());
+  const ShardedLakeIndex index = ShardedLakeIndex::FromSingle(std::move(segment));
+  auto loaded = ShardedLakeIndex::Load(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded.value().options().backend, IndexBackend::kHnsw);
+  EXPECT_EQ(loaded.value().options().metric, Metric::kL2);
+  const std::vector<float> query(6, 0.5f);
+  EXPECT_EQ(loaded.value().QueryJoinable(query, 5), index.QueryJoinable(query, 5));
+  std::remove(path.c_str());
+}
+
+TEST(LakeIndexTest, LoadedHnswLakeAcceptsFurtherAdds) {
+  IndexOptions options;
+  options.backend = IndexBackend::kHnsw;
+  LakeIndex segment(8, options);
+  Rng rng(8);
+  for (size_t t = 0; t < 50; ++t) {
+    segment.AddTable("t" + std::to_string(t), {RandomUnit(8, &rng)});
+  }
+  std::string path = testing::TempDir() + "/tsfm_lake_hnsw_adds.bin";
+  ASSERT_TRUE(segment.Save(path).ok());
+  auto loaded = ShardedLakeIndex::Load(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  const std::vector<float> probe = RandomUnit(8, &rng);
+  loaded.value().AddTable("probe", {probe});
+  const auto ranked = loaded.value().QueryJoinable(probe, 1);
+  ASSERT_EQ(ranked.size(), 1u);
+  EXPECT_EQ(ranked[0], "probe");
   std::remove(path.c_str());
 }
 

@@ -1,7 +1,7 @@
 // The SQ8 codec and the quantized flat index built on it: calibration
 // shape, the scale/2 round-trip error bound, encode monotonicity, codec
-// persistence, ScanTopKSq8 against a decoded-float reference, and the
-// KnnIndex-level recall + format round-trip guarantees.
+// persistence, the SQ8 scan against a decoded-float reference, and the
+// KnnIndex-level recall guarantees.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -169,11 +169,12 @@ TEST(Sq8CodecTest, FromPartsRejectsBadCalibration) {
   EXPECT_TRUE(Sq8Codec::FromParts({1.0f, 2.0f}, {0.0f, -3.0f}).ok());
 }
 
-// ----------------------------------------------------------- ScanTopKSq8
+// ------------------------------------------------------ ScanTopKMultiSq8
 
 TEST(Sq8ScanTest, MatchesFloatScanOverDecodedRows) {
-  // The rescore contract: ScanTopKSq8's output must equal ScanTopK run on
-  // the decoded rows — same ids, distances within the kernel tolerance.
+  // The rescore contract: the SQ8 scan's output must equal the float scan
+  // run on the decoded rows — same ids, distances within the kernel
+  // tolerance.
   Rng rng(97);
   const size_t dim = 19, rows = 400;
   const auto data = RandomRows(&rng, rows, dim);
@@ -190,10 +191,12 @@ TEST(Sq8ScanTest, MatchesFloatScanOverDecodedRows) {
   for (const KernelDispatch* kd : {&ScalarKernels(), &BestKernels()}) {
     for (Metric metric : {Metric::kCosine, Metric::kL2}) {
       for (size_t k : {1u, 10u, 63u, 400u}) {
-        const auto expected = ScanTopK(*kd, query.data(), decoded.data(),
-                                       norms.data(), rows, dim, metric, k);
-        const auto got = ScanTopKSq8(*kd, query.data(), codes.data(), codec,
-                                     norms.data(), rows, metric, k);
+        const auto expected =
+            ScanTopKMulti(*kd, query.data(), 1, decoded.data(), norms.data(),
+                          rows, dim, metric, k)[0];
+        const auto got = ScanTopKMultiSq8(*kd, query.data(), 1, codes.data(),
+                                          codec, norms.data(), rows, metric,
+                                          k)[0];
         ASSERT_EQ(got.size(), expected.size())
             << kd->name << " k=" << k;
         for (size_t i = 0; i < got.size(); ++i) {
@@ -213,14 +216,16 @@ TEST(Sq8ScanTest, MatchesFloatScanOverDecodedRows) {
 TEST(Sq8ScanTest, DegenerateInputs) {
   const Sq8Codec codec = Sq8Codec::Train(nullptr, 0, 4);
   const std::vector<float> query = {1.0f, 0.0f, 0.0f, 0.0f};
-  EXPECT_TRUE(ScanTopKSq8(query.data(), nullptr, codec, nullptr, 0,
-                          Metric::kL2, 5)
-                  .empty());
+  const auto no_rows = ScanTopKMultiSq8(query.data(), 1, nullptr, codec,
+                                        nullptr, 0, Metric::kL2, 5);
+  ASSERT_EQ(no_rows.size(), 1u);
+  EXPECT_TRUE(no_rows[0].empty());
   const std::vector<uint8_t> codes = {1, 2, 3, 4};
   const std::vector<float> norms = {1.0f};
-  EXPECT_TRUE(ScanTopKSq8(query.data(), codes.data(), codec, norms.data(), 1,
-                          Metric::kCosine, 0)
-                  .empty());
+  const auto no_k = ScanTopKMultiSq8(query.data(), 1, codes.data(), codec,
+                                     norms.data(), 1, Metric::kCosine, 0);
+  ASSERT_EQ(no_k.size(), 1u);
+  EXPECT_TRUE(no_k[0].empty());
 }
 
 // ------------------------------------------------------- KnnIndex (kSq8)
@@ -259,60 +264,6 @@ TEST(Sq8KnnIndexTest, RecallAtTenAgainstFloatFlat) {
     }
     const double recall = sum / static_cast<double>(queries);
     EXPECT_GE(recall, 0.99) << "metric " << static_cast<int>(metric);
-  }
-}
-
-TEST(Sq8KnnIndexTest, SaveLoadRoundTripsSearchResults) {
-  Rng rng(103);
-  const size_t dim = 17, n = 200;
-  KnnIndex index(dim, Metric::kCosine, Storage::kSq8);
-  for (size_t r = 0; r < n; ++r) index.Add(r * 3, RandomVec(&rng, dim));
-
-  std::stringstream buf;
-  ASSERT_TRUE(index.Save(buf).ok());
-  auto loaded = LoadVectorIndex(buf);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  const auto* restored = dynamic_cast<const KnnIndex*>(loaded.value().get());
-  ASSERT_NE(restored, nullptr);
-  EXPECT_EQ(restored->storage(), Storage::kSq8);
-  EXPECT_EQ(restored->size(), n);
-
-  for (int trial = 0; trial < 10; ++trial) {
-    const auto query = RandomVec(&rng, dim);
-    const auto a = index.Search(query, 10);
-    const auto b = loaded.value()->Search(query, 10);
-    // Same codes, same codec, same kernels: results are identical.
-    ASSERT_EQ(a.size(), b.size());
-    for (size_t i = 0; i < a.size(); ++i) {
-      EXPECT_EQ(a[i].first, b[i].first);
-      EXPECT_EQ(a[i].second, b[i].second);
-    }
-  }
-}
-
-TEST(Sq8KnnIndexTest, AddAfterSearchKeepsRoundTripFaithful) {
-  // Rows added after the codec trained encode through the existing
-  // calibration; a save/load round trip must reproduce the same results
-  // (the persisted codec pins the calibration).
-  Rng rng(107);
-  const size_t dim = 12;
-  KnnIndex index(dim, Metric::kL2, Storage::kSq8);
-  for (size_t r = 0; r < 100; ++r) index.Add(r, RandomVec(&rng, dim));
-  (void)index.Search(RandomVec(&rng, dim), 5);  // trains the codec
-  for (size_t r = 100; r < 140; ++r) index.Add(r, RandomVec(&rng, dim));
-
-  std::stringstream buf;
-  ASSERT_TRUE(index.Save(buf).ok());
-  auto loaded = LoadVectorIndex(buf);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded.value()->size(), 140u);
-  const auto query = RandomVec(&rng, dim);
-  const auto a = index.Search(query, 20);
-  const auto b = loaded.value()->Search(query, 20);
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].first, b[i].first);
-    EXPECT_EQ(a[i].second, b[i].second);
   }
 }
 

@@ -10,6 +10,7 @@
 #include <unordered_set>
 #include <utility>
 
+#include "search/lake_manifest.h"
 #include "search/sharded_lake_index.h"
 #include "test_util.h"
 #include "util/random.h"
@@ -323,6 +324,27 @@ TEST(ShardedLakeIndexTest, TruncatedManifestIsAnErrorNotACrash) {
     out.close();
     EXPECT_FALSE(ShardedLakeIndex::Load(path).ok()) << "kept " << keep;
   }
+  // A well-formed header whose table count (2^32) the file cannot hold must
+  // be rejected before the locator is allocated (2^32 records would be a
+  // 64 GiB vector).
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    auto put = [&out](auto v) {
+      out.write(reinterpret_cast<const char*>(&v), sizeof(v));
+    };
+    put(kLakeManifestMagic);
+    put(uint32_t{1});  // version
+    put(uint32_t{0});  // backend: flat
+    put(uint32_t{0});  // metric: cosine
+    put(uint64_t{dim});
+    put(uint64_t{1});  // one shard file...
+    put(uint64_t{1});  // ...whose name is one byte long
+    out.write("x", 1);
+    put(uint64_t{1} << 32);  // num_tables
+  }
+  auto hostile = ShardedLakeIndex::Load(path);
+  ASSERT_FALSE(hostile.ok());
+  EXPECT_EQ(hostile.status().code(), StatusCode::kParseError);
   std::remove(path.c_str());
   std::remove((path + ".shard-0").c_str());
   std::remove((path + ".shard-1").c_str());
