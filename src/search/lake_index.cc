@@ -113,18 +113,6 @@ LakeIndex::Compacted LakeIndex::BuildCompacted() const {
   return out;
 }
 
-std::vector<std::string> RankedTableIds(const std::vector<std::string>& table_ids,
-                                        const std::vector<size_t>& handles,
-                                        size_t k) {
-  std::vector<std::string> out;
-  out.reserve(std::min(k, handles.size()));
-  for (size_t handle : handles) {
-    if (out.size() >= k) break;
-    out.push_back(table_ids[handle]);
-  }
-  return out;
-}
-
 void LakeIndex::FilterDead(std::vector<ColumnEmbeddingIndex::ColumnHit>* hits,
                            size_t m) const {
   std::erase_if(*hits, [&](const ColumnEmbeddingIndex::ColumnHit& hit) {

@@ -43,13 +43,6 @@ class ThreadPool;
 
 namespace tsfm::search {
 
-/// Maps ranked table handles to their string ids, truncated to `k`.
-/// Shared by ShardedLakeIndex and DistributedLakeIndex so the two query
-/// surfaces cannot drift.
-std::vector<std::string> RankedTableIds(const std::vector<std::string>& table_ids,
-                                        const std::vector<size_t>& handles,
-                                        size_t k);
-
 /// \brief One shard segment of a lake: column embeddings for a set of
 /// tables, with the seal/delta/tombstone lifecycle and the LAK2 file codec.
 ///
@@ -137,6 +130,7 @@ class LakeIndex {
   size_t dim() const { return dim_; }
   const IndexOptions& options() const { return index_.options(); }
   const std::string& table_id(size_t handle) const { return table_ids_[handle]; }
+  const std::vector<std::string>& table_ids() const { return table_ids_; }
   bool is_live(size_t handle) const { return dead_[handle] == 0; }
 
   /// Tables waiting in the delta segment for the next compaction.

@@ -1,5 +1,6 @@
 #include "search/lake_manifest.h"
 
+#include <algorithm>
 #include <fstream>
 
 #include "search/stream_io.h"
@@ -158,6 +159,53 @@ Result<LakeManifest> LoadLakeManifest(const std::string& path) {
     manifest.live_tables = num_tables;  // pre-churn manifests: all live
   }
   return manifest;
+}
+
+Result<HandleMap> HandleMap::FromLocator(
+    const std::vector<std::pair<uint32_t, uint64_t>>& locator,
+    std::vector<std::vector<std::string>> shard_ids, const std::string& path) {
+  HandleMap map(shard_ids.size());
+  for (const auto& [shard, local] : locator) {
+    // Each record claims its shard's next local handle, the order every
+    // writer produces and the monotone remap relies on.
+    if (shard >= shard_ids.size() || local >= shard_ids[shard].size() ||
+        local != map.shard_size(shard)) {
+      return Status::ParseError("lake manifest " + path +
+                                " has an invalid or duplicate table record");
+    }
+    map.Append(shard, std::move(shard_ids[shard][local]));
+  }
+  return map;
+}
+
+size_t HandleMap::Append(size_t shard, std::string id) {
+  const size_t handle = ids_.size();
+  locator_.emplace_back(shard, to_global_[shard].size());
+  to_global_[shard].push_back(handle);
+  ids_.push_back(std::move(id));
+  return handle;
+}
+
+HandleMap HandleMap::Compacted(
+    const std::function<bool(size_t handle)>& keep) const {
+  HandleMap map(to_global_.size());
+  map.ids_.reserve(ids_.size());
+  map.locator_.reserve(ids_.size());
+  for (size_t h = 0; h < ids_.size(); ++h) {
+    if (keep(h)) map.Append(locator_[h].first, ids_[h]);
+  }
+  return map;
+}
+
+std::vector<std::vector<std::string>> HandleMap::RankedIds(
+    const std::vector<std::vector<size_t>>& ranked, size_t k) const {
+  std::vector<std::vector<std::string>> out(ranked.size());
+  for (size_t q = 0; q < ranked.size(); ++q) {
+    for (size_t i = 0; i < std::min(k, ranked[q].size()); ++i) {
+      out[q].push_back(ids_[ranked[q][i]]);
+    }
+  }
+  return out;
 }
 
 }  // namespace tsfm::search

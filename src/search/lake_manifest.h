@@ -12,10 +12,13 @@
 //   - server::DistributedLakeIndex opens only the manifest and leaves each
 //     shard file to its own lake_shard_worker process, rebuilding the
 //     global handle space from the locator plus the workers' table lists.
+// Both keep that handle space in a HandleMap (below), the in-memory form
+// of the locator.
 #ifndef TSFM_SEARCH_LAKE_MANIFEST_H_
 #define TSFM_SEARCH_LAKE_MANIFEST_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -90,6 +93,54 @@ Status SaveLakeManifest(const LakeManifest& manifest, const std::string& path);
 /// absurd dim/shard counts), or a locator record routing to a nonexistent
 /// shard yields an error Status, never a crash.
 Result<LakeManifest> LoadLakeManifest(const std::string& path);
+
+/// \brief A lake's global handle space: handle -> (id, shard, local
+/// handle), and shard -> local -> handle.
+///
+/// Handles are dense and in insertion order, and so are each shard's
+/// locals, so the local-to-global remap is monotone: a shard's hit list
+/// sorted by (distance, table, column) stays sorted after it, and merged
+/// lists tie-break like one unsharded index. Each lake guards its map with
+/// its own lock.
+class HandleMap {
+ public:
+  explicit HandleMap(size_t num_shards = 0) : to_global_(num_shards) {}
+
+  /// Rebuilds a manifest's handle space. `shard_ids[s]` lists shard s's
+  /// ids in local order; each locator record claims the next one of its
+  /// shard. Any other record is a ParseError naming `path`.
+  static Result<HandleMap> FromLocator(
+      const std::vector<std::pair<uint32_t, uint64_t>>& locator,
+      std::vector<std::vector<std::string>> shard_ids, const std::string& path);
+
+  /// Registers a table appended to shard `shard`; returns its handle.
+  size_t Append(size_t shard, std::string id);
+
+  /// The map after a full compaction: handles with `keep(handle)` false
+  /// retire, survivors keep their order globally and per shard — the
+  /// order LakeIndex::BuildCompacted re-adds them in.
+  HandleMap Compacted(const std::function<bool(size_t handle)>& keep) const;
+
+  /// The ids of each query's first `k` ranked handles.
+  std::vector<std::vector<std::string>> RankedIds(
+      const std::vector<std::vector<size_t>>& ranked, size_t k) const;
+
+  size_t size() const { return ids_.size(); }
+  const std::vector<std::string>& ids() const { return ids_; }
+  const std::string& id(size_t handle) const { return ids_[handle]; }
+  std::pair<size_t, size_t> locate(size_t handle) const {
+    return locator_[handle];
+  }
+  size_t shard_size(size_t shard) const { return to_global_[shard].size(); }
+  size_t global(size_t shard, size_t local) const {
+    return to_global_[shard][local];
+  }
+
+ private:
+  std::vector<std::string> ids_;
+  std::vector<std::pair<size_t, size_t>> locator_;
+  std::vector<std::vector<size_t>> to_global_;
+};
 
 }  // namespace tsfm::search
 

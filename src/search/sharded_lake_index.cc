@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
-#include <iterator>
 #include <optional>
 
 #include "search/lake_manifest.h"
@@ -35,7 +34,7 @@ ShardedLakeIndex::ShardedLakeIndex(size_t dim, size_t num_shards,
     : dim_(dim), options_(NormalizeShardStorage(options)) {
   num_shards = std::max<size_t>(1, num_shards);
   shards_.reserve(num_shards);
-  to_global_.resize(num_shards);
+  handles_ = HandleMap(num_shards);
   for (size_t s = 0; s < num_shards; ++s) shards_.emplace_back(dim, options_);
 }
 
@@ -46,9 +45,7 @@ void ShardedLakeIndex::MoveFieldsFrom(ShardedLakeIndex&& other) {
   dim_ = other.dim_;
   options_ = other.options_;
   shards_ = std::move(other.shards_);
-  global_ids_ = std::move(other.global_ids_);
-  locator_ = std::move(other.locator_);
-  to_global_ = std::move(other.to_global_);
+  handles_ = std::move(other.handles_);
   compactions_ = other.compactions_;
 }
 
@@ -69,21 +66,11 @@ ShardedLakeIndex ShardedLakeIndex::FromSingle(LakeIndex&& shard) {
     // `index` is not visible to any other thread yet; the lock is
     // uncontended and exists for the checker.
     WriterMutexLock lock(&index.mu_);
+    index.handles_ = HandleMap(1);
+    for (const auto& id : shard.table_ids()) index.handles_.Append(0, id);
     index.shards_.push_back(std::move(shard));
-    index.to_global_.resize(1);
-    index.IndexShardTables(0);
   }
   return index;
-}
-
-void ShardedLakeIndex::IndexShardTables(size_t s) {
-  const LakeIndex& shard = shards_[s];
-  for (size_t local = to_global_[s].size(); local < shard.num_tables(); ++local) {
-    size_t handle = global_ids_.size();
-    global_ids_.push_back(shard.table_id(local));
-    locator_.emplace_back(s, local);
-    to_global_[s].push_back(handle);
-  }
 }
 
 size_t ShardedLakeIndex::ShardOfLocked(const std::string& table_id) const {
@@ -102,16 +89,12 @@ size_t ShardedLakeIndex::AddTable(
   // The shard add and the global-map append publish together under one
   // exclusive section, so an in-flight query (which pins the maps with a
   // shared lock for its whole scatter) can never see a shard hit whose
-  // local handle lacks a to_global_ entry.
+  // local handle has no global one.
   WriterMutexLock lock(&mu_);
   const size_t s = ShardOfLocked(table_id);
   const size_t local = shards_[s].AddTable(table_id, column_embeddings);
-  const size_t handle = global_ids_.size();
-  global_ids_.push_back(table_id);
-  locator_.emplace_back(s, local);
-  TSFM_CHECK_EQ(to_global_[s].size(), local);
-  to_global_[s].push_back(handle);
-  return handle;
+  TSFM_CHECK_EQ(handles_.shard_size(s), local);
+  return handles_.Append(s, table_id);
 }
 
 Status ShardedLakeIndex::RemoveTable(const std::string& table_id) {
@@ -133,11 +116,12 @@ Status ShardedLakeIndex::Compact(ThreadPool* pool) {
 
   // Phase A, shared-lock: queries keep running against the old epoch while
   // every churned shard builds its compacted image (survivors re-added in
-  // insertion order — the churn-parity contract). writer_mu_ excludes
-  // mutations, so the shard state read here cannot move underneath; the
-  // shared lock makes that visible to the checker and costs nothing
-  // (readers never block readers).
+  // insertion order — the churn-parity contract) and the handle map its
+  // re-densified copy. writer_mu_ excludes mutations, so the state read
+  // here cannot move underneath; the shared lock makes that visible to the
+  // checker and costs nothing (readers never block readers).
   std::vector<std::optional<LakeIndex::Compacted>> built;
+  HandleMap compacted;
   {
     ReaderMutexLock lock(&mu_);
     built.resize(shards_.size());
@@ -153,30 +137,18 @@ Status ShardedLakeIndex::Compact(ThreadPool* pool) {
     } else {
       for (size_t s = 0; s < shards.size(); ++s) build_shard(s);
     }
+    // The re-densified handle map: tombstoned handles retire, survivors
+    // keep their order, as BuildCompacted re-added them.
+    const HandleMap& old = handles_;
+    compacted = old.Compacted([&](size_t h) {
+      const auto [s, local] = old.locate(h);
+      return !built[s].has_value() || built[s]->remap[local] != SIZE_MAX;
+    });
   }
 
-  // Phase B, exclusive: swap rebuilt shards in, seal the rest, and
-  // re-densify the global handle maps — one atomic epoch change.
+  // Phase B, exclusive: swap the rebuilt shards and the new handle map in
+  // and seal the rest — one atomic epoch change.
   WriterMutexLock lock(&mu_);
-  std::vector<std::string> new_ids;
-  std::vector<std::pair<size_t, size_t>> new_locator;
-  std::vector<std::vector<size_t>> new_to_global(shards_.size());
-  new_ids.reserve(global_ids_.size());
-  new_locator.reserve(global_ids_.size());
-  for (size_t h = 0; h < global_ids_.size(); ++h) {
-    const auto [s, local] = locator_[h];
-    size_t new_local = local;
-    if (built[s].has_value()) {
-      new_local = built[s]->remap[local];
-      if (new_local == SIZE_MAX) continue;  // tombstoned; handle retired
-    }
-    // Surviving locals keep their relative order, so the new maps stay
-    // dense per shard and global order matches a from-scratch build.
-    TSFM_CHECK_EQ(new_to_global[s].size(), new_local);
-    new_to_global[s].push_back(new_ids.size());
-    new_locator.emplace_back(s, new_local);
-    new_ids.push_back(std::move(global_ids_[h]));
-  }
   for (size_t s = 0; s < shards_.size(); ++s) {
     if (built[s].has_value()) {
       shards_[s] = std::move(built[s]->index);
@@ -184,16 +156,14 @@ Status ShardedLakeIndex::Compact(ThreadPool* pool) {
       shards_[s].Seal();
     }
   }
-  global_ids_ = std::move(new_ids);
-  locator_ = std::move(new_locator);
-  to_global_ = std::move(new_to_global);
+  handles_ = std::move(compacted);
   ++compactions_;
   return Status::OK();
 }
 
 size_t ShardedLakeIndex::num_tables() const {
   ReaderMutexLock lock(&mu_);
-  return global_ids_.size();
+  return handles_.size();
 }
 
 size_t ShardedLakeIndex::num_live_tables() const {
@@ -212,7 +182,12 @@ size_t ShardedLakeIndex::num_columns() const {
 
 std::string ShardedLakeIndex::table_id(size_t handle) const {
   ReaderMutexLock lock(&mu_);
-  return global_ids_[handle];
+  return handles_.id(handle);
+}
+
+std::vector<std::string> ShardedLakeIndex::table_ids() const {
+  ReaderMutexLock lock(&mu_);
+  return handles_.ids();
 }
 
 size_t ShardedLakeIndex::pending_delta_tables() const {
@@ -242,51 +217,26 @@ bool ShardedLakeIndex::churned() const {
   return false;
 }
 
-std::vector<std::vector<ColumnEmbeddingIndex::ColumnHit>>
-ShardedLakeIndex::SearchColumnHitsBatchLocked(
-    const std::vector<std::vector<float>>& queries, size_t m,
+TableRanker::ShardSearcher ShardedLakeIndex::SearcherLocked(
     ThreadPool* pool) const {
-  // Scatter the WHOLE batch to each shard (one SearchColumnsBatch call per
-  // shard, which reaches the flat backend's multi-query scan), remap local
-  // table handles to global, then k-way-merge per query. ParallelFor is
-  // nest-safe (util/thread_pool.h), so the shard fan-out and the
-  // per-shard query-chunk fan-out share one pool.
-  // The search lambda runs on pool threads, invisible to this frame's
-  // shared lock; bind the guarded fields to aliases under the lock and
-  // capture those (see the concurrency contract in docs/architecture.md).
+  // The searcher runs on pool threads, invisible to the caller's shared
+  // lock, so it captures aliases bound under it (docs/architecture.md).
+  // ParallelFor is nest-safe: shard and query-chunk fan-outs share `pool`.
   const std::vector<LakeIndex>& shards = shards_;
-  const std::vector<std::vector<size_t>>& to_global = to_global_;
-  std::vector<std::vector<std::vector<ColumnEmbeddingIndex::ColumnHit>>>
-      per_shard(shards.size());
-  auto search_shard = [&](size_t s, ThreadPool* inner) {
+  const HandleMap& handles = handles_;
+  return [&shards, &handles, pool](
+             size_t s, const std::vector<std::vector<float>>& columns,
+             size_t m) -> Result<TableRanker::HitLists> {
     // Churn-aware shard search: covers base + delta, filters tombstones.
-    auto lists = shards[s].SearchColumnsBatch(queries, m, inner);
-    // Remap shard-local table handles to global handles. Local handles are
-    // assigned in insertion order, so the remap is monotone and each list
-    // stays sorted by (distance, table, column).
+    TableRanker::HitLists lists =
+        shards[s].SearchColumnsBatch(columns, m, pool);
+    // Local handles are insertion-ordered, so the remap is monotone and
+    // each list stays sorted by (distance, table, column).
     for (auto& hits : lists) {
-      for (auto& hit : hits) hit.table_id = to_global[s][hit.table_id];
+      for (auto& hit : hits) hit.table_id = handles.global(s, hit.table_id);
     }
-    per_shard[s] = std::move(lists);
+    return lists;
   };
-  if (pool != nullptr && shards.size() > 1) {
-    ParallelFor(pool, 0, shards.size(),
-                [&](size_t s) { search_shard(s, pool); });
-  } else {
-    for (size_t s = 0; s < shards.size(); ++s) search_shard(s, pool);
-  }
-
-  std::vector<std::vector<ColumnEmbeddingIndex::ColumnHit>> merged(
-      queries.size());
-  std::vector<std::vector<ColumnEmbeddingIndex::ColumnHit>> lists(
-      shards.size());
-  for (size_t q = 0; q < queries.size(); ++q) {
-    for (size_t s = 0; s < shards.size(); ++s) {
-      lists[s] = std::move(per_shard[s][q]);
-    }
-    merged[q] = TableRanker::MergeColumnHits(lists, m);
-  }
-  return merged;
 }
 
 std::vector<std::vector<ColumnEmbeddingIndex::ColumnHit>>
@@ -294,66 +244,29 @@ ShardedLakeIndex::SearchColumnHitsBatch(
     const std::vector<std::vector<float>>& queries, size_t m,
     ThreadPool* pool) const {
   ReaderMutexLock lock(&mu_);
-  return SearchColumnHitsBatchLocked(queries, m, pool);
-}
-
-std::vector<std::vector<size_t>> ShardedLakeIndex::RankUnionableBatchLocked(
-    const std::vector<std::vector<std::vector<float>>>& queries, size_t k,
-    const std::vector<size_t>& excludes, ThreadPool* pool) const {
-  std::vector<std::vector<size_t>> results(queries.size());
-  auto exclude_of = [&](size_t q) {
-    return q < excludes.size() ? excludes[q] : SIZE_MAX;
-  };
-  // Flatten every query's columns into one batched scatter so each shard
-  // streams its rows once for the whole coalesced group (the multi-query
-  // scan), instead of once per query column. The multi-query scan returns
-  // the same hit list per column as a one-column batch, so the Fig 6
-  // ranking does not depend on how queries were grouped.
-  std::vector<std::vector<float>> flat;
-  std::vector<size_t> offset(queries.size() + 1, 0);
-  for (size_t q = 0; q < queries.size(); ++q) {
-    offset[q + 1] = offset[q] + queries[q].size();
-  }
-  flat.reserve(offset.back());
-  for (const auto& query : queries) {
-    flat.insert(flat.end(), query.begin(), query.end());
-  }
-  auto hits = SearchColumnHitsBatchLocked(flat, k * 3, pool);
-  for (size_t q = 0; q < queries.size(); ++q) {
-    std::vector<std::vector<ColumnEmbeddingIndex::ColumnHit>> per_column(
-        std::make_move_iterator(hits.begin() + offset[q]),
-        std::make_move_iterator(hits.begin() + offset[q + 1]));
-    results[q] = TableRanker::RankFromColumnHits(per_column, exclude_of(q));
-  }
-  return results;
+  // The in-process searcher cannot fail.
+  return TableRanker::ScatterMerge(queries, m, shards_.size(),
+                                   SearcherLocked(pool), pool)
+      .value();
 }
 
 std::vector<std::vector<size_t>> ShardedLakeIndex::RankUnionableBatch(
     const std::vector<std::vector<std::vector<float>>>& queries, size_t k,
     const std::vector<size_t>& excludes, ThreadPool* pool) const {
   ReaderMutexLock lock(&mu_);
-  return RankUnionableBatchLocked(queries, k, excludes, pool);
-}
-
-std::vector<std::vector<size_t>> ShardedLakeIndex::RankJoinableBatchLocked(
-    const std::vector<std::vector<float>>& query_columns, size_t k,
-    const std::vector<size_t>& excludes, ThreadPool* pool) const {
-  std::vector<std::vector<size_t>> results(query_columns.size());
-  auto exclude_of = [&](size_t q) {
-    return q < excludes.size() ? excludes[q] : SIZE_MAX;
-  };
-  auto hits = SearchColumnHitsBatchLocked(query_columns, k * 3, pool);
-  for (size_t q = 0; q < query_columns.size(); ++q) {
-    results[q] = TableRanker::RankFromSingleColumnHits(hits[q], exclude_of(q));
-  }
-  return results;
+  return TableRanker::ScatterMergeRank(queries, k, excludes, shards_.size(),
+                                       SearcherLocked(pool), pool)
+      .value();
 }
 
 std::vector<std::vector<size_t>> ShardedLakeIndex::RankJoinableBatch(
     const std::vector<std::vector<float>>& query_columns, size_t k,
     const std::vector<size_t>& excludes, ThreadPool* pool) const {
   ReaderMutexLock lock(&mu_);
-  return RankJoinableBatchLocked(query_columns, k, excludes, pool);
+  return TableRanker::ScatterMergeRank(query_columns, k, excludes,
+                                       shards_.size(), SearcherLocked(pool),
+                                       pool)
+      .value();
 }
 
 std::vector<std::string> ShardedLakeIndex::QueryUnionable(
@@ -367,29 +280,28 @@ std::vector<std::string> ShardedLakeIndex::QueryJoinable(
   return QueryJoinableBatch({query_column}, k, pool)[0];
 }
 
+// The Query*Batch entry points hold one shared lock across rank and id
+// lookup, so the ids come from the epoch the ranks were computed in.
 std::vector<std::vector<std::string>> ShardedLakeIndex::QueryUnionableBatch(
     const std::vector<std::vector<std::vector<float>>>& queries, size_t k,
     ThreadPool* pool) const {
   ReaderMutexLock lock(&mu_);
-  auto ranked = RankUnionableBatchLocked(queries, k, /*excludes=*/{}, pool);
-  std::vector<std::vector<std::string>> out(ranked.size());
-  for (size_t q = 0; q < ranked.size(); ++q) {
-    out[q] = RankedTableIds(global_ids_, ranked[q], k);
-  }
-  return out;
+  return handles_.RankedIds(
+      TableRanker::ScatterMergeRank(queries, k, /*excludes=*/{},
+                                    shards_.size(), SearcherLocked(pool), pool)
+          .value(),
+      k);
 }
 
 std::vector<std::vector<std::string>> ShardedLakeIndex::QueryJoinableBatch(
     const std::vector<std::vector<float>>& query_columns, size_t k,
     ThreadPool* pool) const {
   ReaderMutexLock lock(&mu_);
-  auto ranked =
-      RankJoinableBatchLocked(query_columns, k, /*excludes=*/{}, pool);
-  std::vector<std::vector<std::string>> out(ranked.size());
-  for (size_t q = 0; q < ranked.size(); ++q) {
-    out[q] = RankedTableIds(global_ids_, ranked[q], k);
-  }
-  return out;
+  return handles_.RankedIds(
+      TableRanker::ScatterMergeRank(query_columns, k, /*excludes=*/{},
+                                    shards_.size(), SearcherLocked(pool), pool)
+          .value(),
+      k);
 }
 
 Status ShardedLakeIndex::Save(const std::string& path, ThreadPool* pool) const {
@@ -441,8 +353,9 @@ Status ShardedLakeIndex::Save(const std::string& path, ThreadPool* pool) const {
   // tombstoned handles included, matching the shard files' churn sections —
   // so handles assigned by AddTable stay valid across a save/load round
   // trip (until the next full compaction re-densifies them).
-  manifest.locator.reserve(locator_.size());
-  for (const auto& [shard, local] : locator_) {
+  manifest.locator.reserve(handles_.size());
+  for (size_t h = 0; h < handles_.size(); ++h) {
+    const auto [shard, local] = handles_.locate(h);
     manifest.locator.emplace_back(static_cast<uint32_t>(shard),
                                   static_cast<uint64_t>(local));
   }
@@ -469,7 +382,6 @@ Result<ShardedLakeIndex> ShardedLakeIndex::Load(const std::string& path,
   const size_t num_shards = manifest.num_shards();
   const uint64_t dim = manifest.dim;
   const std::vector<std::string>& shard_files = manifest.shard_files;
-  const auto& locator = manifest.locator;
   const uint64_t num_tables = manifest.num_tables();
 
   // Load the shard files in parallel; each is a self-contained LakeIndex.
@@ -496,6 +408,7 @@ Result<ShardedLakeIndex> ShardedLakeIndex::Load(const std::string& path,
     // the success return so the move out of `index` happens unlocked.
     WriterMutexLock lock(&index.mu_);
     index.shards_.reserve(num_shards);
+    std::vector<std::vector<std::string>> shard_ids;
     uint64_t total_shard_tables = 0;
     uint64_t total_live_tables = 0;
     for (size_t s = 0; s < num_shards; ++s) {
@@ -522,6 +435,7 @@ Result<ShardedLakeIndex> ShardedLakeIndex::Load(const std::string& path,
       }
       total_shard_tables += shard.num_tables();
       total_live_tables += shard.num_live_tables();
+      shard_ids.push_back(shard.table_ids());
       index.shards_.push_back(std::move(shard));
     }
     // Rebuild the global handle space in its original insertion order from
@@ -537,22 +451,10 @@ Result<ShardedLakeIndex> ShardedLakeIndex::Load(const std::string& path,
       return Status::ParseError("lake manifest " + path +
                                 " live-table count disagrees with shard files");
     }
-    index.to_global_.resize(num_shards);
-    for (size_t s = 0; s < num_shards; ++s) {
-      index.to_global_[s].assign(index.shards_[s].num_tables(), SIZE_MAX);
-    }
-    index.global_ids_.reserve(num_tables);
-    index.locator_.reserve(num_tables);
-    for (const auto& [shard, local] : locator) {
-      if (local >= index.to_global_[shard].size() ||
-          index.to_global_[shard][local] != SIZE_MAX) {
-        return Status::ParseError("lake manifest " + path +
-                                  " has an invalid or duplicate table record");
-      }
-      index.to_global_[shard][local] = index.global_ids_.size();
-      index.global_ids_.push_back(index.shards_[shard].table_id(local));
-      index.locator_.emplace_back(shard, local);
-    }
+    Result<HandleMap> handles =
+        HandleMap::FromLocator(manifest.locator, std::move(shard_ids), path);
+    if (!handles.ok()) return handles.status();
+    index.handles_ = std::move(handles).value();
     // The shard files carry the HNSW knobs; mirror shard 0's so options()
     // reports what the shards actually use.
     index.options_.hnsw = index.shards_[0].options().hnsw;

@@ -7,11 +7,11 @@
 // (util/hash.h StableShard), so every column of a table lives in exactly
 // one shard and the assignment survives rebuilds. Each shard owns its own
 // VectorIndex (flat or HNSW via IndexOptions). Every query — single or
-// batch — takes one path: one batched scatter over all shards (on a
-// ThreadPool when one is given), the per-shard sorted candidate lists
-// gathered with TableRanker::MergeColumnHits (a k-way heap merge), then
-// the Fig 6 ranking, which makes the flat-backend results bit-identical
-// to a single index over the same corpus at any shard count.
+// batch — takes one path, TableRanker::ScatterMergeRank: one batched
+// search per shard (on a ThreadPool when one is given), the per-shard
+// sorted candidate lists k-way merged, then the Fig 6 ranking, which makes
+// the flat-backend results bit-identical to a single index over the same
+// corpus at any shard count.
 //
 // On disk the index is a "LAKS" manifest (shard count, backend, metric,
 // dim, per-shard file names) next to one "LAK2" LakeIndex file per shard;
@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "search/lake_index.h"
+#include "search/lake_manifest.h"
 #include "util/mutex.h"
 #include "util/status.h"
 #include "util/thread_annotations.h"
@@ -141,7 +142,7 @@ class ShardedLakeIndex {
   /// on flat backends that is the multi-query mini-GEMM scan, so each
   /// shard's rows stream from memory once per batch instead of once per
   /// query. Shard-local table handles are remapped to global handles and
-  /// the sorted per-shard lists k-way-merged (TableRanker::MergeColumnHits).
+  /// the sorted per-shard lists k-way-merged (TableRanker::ScatterMerge).
   /// Shards (and the per-shard query chunks) fan out over `pool` when
   /// given. This is the half of a query below the Fig 6 ranking — exposed
   /// so a serving layer can answer SHARD_QUERY frames for a distributed
@@ -195,6 +196,9 @@ class ShardedLakeIndex {
   /// The id behind a global handle (a copy: the maps may be re-densified
   /// by a concurrent compaction).
   std::string table_id(size_t handle) const LAKS_EXCLUDES(mu_);
+  /// Every id in handle order, from one epoch of the handle map (walking
+  /// table_id(h) up to num_tables() can straddle a compaction).
+  std::vector<std::string> table_ids() const LAKS_EXCLUDES(mu_);
 
   /// The shard `table_id` routes to (stable across rebuilds and processes).
   size_t shard_of(const std::string& table_id) const LAKS_EXCLUDES(mu_);
@@ -217,26 +221,14 @@ class ShardedLakeIndex {
  private:
   explicit ShardedLakeIndex(size_t dim, const IndexOptions& options);
 
-  /// Registers every table of shard `s` in the global handle maps, in the
-  /// shard's insertion order.
-  void IndexShardTables(size_t s) LAKS_REQUIRES(mu_);
   /// Unanalyzed on purpose: moves must not overlap any other operation on
   /// either operand (the documented move contract), so no lock is held.
   void MoveFieldsFrom(ShardedLakeIndex&& other) LAKS_NO_THREAD_SAFETY_ANALYSIS;
   size_t ShardOfLocked(const std::string& table_id) const
       LAKS_REQUIRES_SHARED(mu_);
 
-  std::vector<std::vector<ColumnEmbeddingIndex::ColumnHit>>
-  SearchColumnHitsBatchLocked(const std::vector<std::vector<float>>& queries,
-                              size_t m, ThreadPool* pool) const
-      LAKS_REQUIRES_SHARED(mu_);
-  std::vector<std::vector<size_t>> RankUnionableBatchLocked(
-      const std::vector<std::vector<std::vector<float>>>& queries, size_t k,
-      const std::vector<size_t>& excludes, ThreadPool* pool) const
-      LAKS_REQUIRES_SHARED(mu_);
-  std::vector<std::vector<size_t>> RankJoinableBatchLocked(
-      const std::vector<std::vector<float>>& query_columns, size_t k,
-      const std::vector<size_t>& excludes, ThreadPool* pool) const
+  /// The in-process searcher for TableRanker's query core.
+  TableRanker::ShardSearcher SearcherLocked(ThreadPool* pool) const
       LAKS_REQUIRES_SHARED(mu_);
 
   // The search layer's one lock domain; shards carry no locks.
@@ -259,12 +251,7 @@ class ShardedLakeIndex {
   // compaction swaps *elements* under an exclusive lock, which is why the
   // whole vector is guarded, and so is every shard's state.
   std::vector<LakeIndex> shards_ LAKS_GUARDED_BY(mu_);
-  // handle -> id
-  std::vector<std::string> global_ids_ LAKS_GUARDED_BY(mu_);
-  // handle -> (shard, local)
-  std::vector<std::pair<size_t, size_t>> locator_ LAKS_GUARDED_BY(mu_);
-  // shard -> local -> handle
-  std::vector<std::vector<size_t>> to_global_ LAKS_GUARDED_BY(mu_);
+  HandleMap handles_ LAKS_GUARDED_BY(mu_);
   uint64_t compactions_ LAKS_GUARDED_BY(mu_) = 0;
 };
 

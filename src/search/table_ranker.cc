@@ -1,13 +1,16 @@
 #include "search/table_ranker.h"
 
 #include <algorithm>
+#include <iterator>
 #include <queue>
 #include <tuple>
+#include <type_traits>
 #include <unordered_map>
 #include <utility>
 
 #include "search/knn_index.h"
 #include "util/logging.h"
+#include "util/thread_pool.h"
 
 namespace tsfm::search {
 
@@ -158,5 +161,75 @@ std::vector<size_t> TableRanker::RankFromSingleColumnHits(
   for (const auto& [table, dist] : order) ranked.push_back(table);
   return ranked;
 }
+
+Result<TableRanker::HitLists> TableRanker::ScatterMerge(
+    const std::vector<std::vector<float>>& columns, size_t m,
+    size_t num_shards, const ShardSearcher& search, ThreadPool* pool) {
+  std::vector<Result<HitLists>> per_shard(
+      num_shards, Status::Internal("shard not searched"));
+  auto search_shard = [&](size_t s) { per_shard[s] = search(s, columns, m); };
+  if (pool != nullptr && num_shards > 1) {
+    ParallelFor(pool, 0, num_shards, search_shard);
+  } else {
+    for (size_t s = 0; s < num_shards; ++s) search_shard(s);
+  }
+  for (const Result<HitLists>& lists : per_shard) {
+    if (!lists.ok()) return lists.status();
+  }
+  HitLists merged(columns.size());
+  HitLists lists(num_shards);
+  for (size_t c = 0; c < columns.size(); ++c) {
+    for (size_t s = 0; s < num_shards; ++s) {
+      lists[s] = std::move(per_shard[s].value()[c]);
+    }
+    merged[c] = MergeColumnHits(lists, m);
+  }
+  return merged;
+}
+
+template <typename Query>
+Result<std::vector<std::vector<size_t>>> TableRanker::ScatterMergeRank(
+    const std::vector<Query>& queries, size_t k,
+    const std::vector<size_t>& excludes, size_t num_shards,
+    const ShardSearcher& search, ThreadPool* pool) {
+  constexpr bool kJoin = std::is_same_v<Query, std::vector<float>>;
+  // Join queries are one column each; union queries' columns are
+  // flattened, so each shard streams its rows once for the whole batch.
+  std::vector<std::vector<float>> flat;
+  const std::vector<std::vector<float>>* columns = &flat;
+  if constexpr (kJoin) {
+    columns = &queries;
+  } else {
+    for (const Query& query : queries) {
+      flat.insert(flat.end(), query.begin(), query.end());
+    }
+  }
+  Result<HitLists> hits =
+      ScatterMerge(*columns, k * 3, num_shards, search, pool);
+  if (!hits.ok()) return hits.status();
+  std::vector<std::vector<size_t>> ranked(queries.size());
+  auto next = hits.value().begin();  // query q's first column's hits
+  for (size_t q = 0; q < queries.size(); ++q) {
+    const size_t exclude = q < excludes.size() ? excludes[q] : SIZE_MAX;
+    if constexpr (kJoin) {
+      ranked[q] = RankFromSingleColumnHits(hits.value()[q], exclude);
+    } else {
+      auto first = std::make_move_iterator(next);
+      next += static_cast<std::ptrdiff_t>(queries[q].size());
+      ranked[q] = RankFromColumnHits(
+          HitLists(first, std::make_move_iterator(next)), exclude);
+    }
+  }
+  return ranked;
+}
+
+template Result<std::vector<std::vector<size_t>>>
+TableRanker::ScatterMergeRank(const std::vector<std::vector<float>>&, size_t,
+                              const std::vector<size_t>&, size_t,
+                              const ShardSearcher&, ThreadPool*);
+template Result<std::vector<std::vector<size_t>>>
+TableRanker::ScatterMergeRank(
+    const std::vector<std::vector<std::vector<float>>>&, size_t,
+    const std::vector<size_t>&, size_t, const ShardSearcher&, ThreadPool*);
 
 }  // namespace tsfm::search

@@ -5,19 +5,24 @@
 //   RANK1 = number of matched query columns (descending)
 //   RANK2 = sum of column distances (ascending tie-break)
 //
-// The corpus sits behind a pluggable VectorIndex (exact flat scan or HNSW);
-// the batch search fans independent queries out over a ThreadPool. The
-// ranking itself is a set of static functions over hit lists, so every
-// query path (ShardedLakeIndex, DistributedLakeIndex) ranks through the
-// exact same code.
+// The corpus sits behind a pluggable VectorIndex (exact flat scan or HNSW).
+// TableRanker::ScatterMergeRank is the one query core of every lake: a
+// batch's columns go to each shard in one call of a per-shard searcher,
+// the per-shard hit lists are k-way merged, and the Fig 6 rank runs on
+// the merged lists. ShardedLakeIndex passes a searcher over its in-process
+// shard segments, server::DistributedLakeIndex one that sends a shard
+// worker one SHARD_QUERY frame per batch, so both deployments rank through
+// the exact same code.
 #ifndef TSFM_SEARCH_TABLE_RANKER_H_
 #define TSFM_SEARCH_TABLE_RANKER_H_
 
 #include <cstddef>
+#include <functional>
 #include <memory>
 #include <vector>
 
 #include "search/vector_index.h"
+#include "util/status.h"
 
 namespace tsfm {
 class ThreadPool;
@@ -71,13 +76,42 @@ class ColumnEmbeddingIndex {
 
 /// \brief Fig 6 ranking of corpus tables for a query table.
 ///
-/// Two halves, both static: a k-way merge of pre-sorted per-shard hit
-/// lists and the RANK1/RANK2 aggregation over hit lists — so
-/// ShardedLakeIndex can scatter the search across shards and gather
-/// through the exact same ranking code. Callers over-retrieve k*3
-/// candidate columns per query column, as in the paper.
+/// All static: the scatter -> merge -> rank core every lake queries
+/// through, and its parts — a k-way merge of pre-sorted per-shard hit
+/// lists and the RANK1/RANK2 aggregation over hit lists. The core
+/// over-retrieves k*3 candidate columns per query column, as in the paper.
 class TableRanker {
  public:
+  using HitLists = std::vector<std::vector<ColumnEmbeddingIndex::ColumnHit>>;
+
+  /// A lake's per-shard search: shard `shard`'s top-`m` hits for each of
+  /// `columns`, each list sorted by (distance, table_id, column_index) with
+  /// table_id a global handle. An error (naming the shard) fails the batch.
+  using ShardSearcher = std::function<Result<HitLists>(
+      size_t shard, const std::vector<std::vector<float>>& columns, size_t m)>;
+
+  /// Scatter -> merge: one `search` call per shard for the whole batch
+  /// (shards fanned out over `pool` when given), then MergeColumnHits per
+  /// column. The lowest-index failing shard's Status fails the batch.
+  static Result<HitLists> ScatterMerge(
+      const std::vector<std::vector<float>>& columns, size_t m,
+      size_t num_shards, const ShardSearcher& search, ThreadPool* pool);
+
+  /// \brief Scatter -> merge -> Fig 6 rank: the query core of every lake.
+  ///
+  /// `Query` is a join column (`std::vector<float>`, ranked by
+  /// RankFromSingleColumnHits) or a union query's columns
+  /// (`std::vector<std::vector<float>>`, RankFromColumnHits). All columns
+  /// of the batch share one ScatterMerge of k*3 hits each; a column's hits
+  /// do not depend on the batch around it, so neither do the ranks.
+  /// Returns ranked global handles; `excludes` pairs with `queries`
+  /// (empty = none; SIZE_MAX excludes nothing).
+  template <typename Query>
+  static Result<std::vector<std::vector<size_t>>> ScatterMergeRank(
+      const std::vector<Query>& queries, size_t k,
+      const std::vector<size_t>& excludes, size_t num_shards,
+      const ShardSearcher& search, ThreadPool* pool);
+
   /// \brief K-way heap merge of sorted candidate lists into the global top-k.
   ///
   /// Each input list must be sorted ascending by (distance, table_id,

@@ -37,12 +37,7 @@ Result<std::vector<std::vector<ShardHit>>> InProcessBackend::ShardQuery(
 }
 
 Result<std::vector<std::string>> InProcessBackend::TableIds() const {
-  std::vector<std::string> ids;
-  ids.reserve(index_.num_tables());
-  for (size_t h = 0; h < index_.num_tables(); ++h) {
-    ids.push_back(index_.table_id(h));
-  }
-  return ids;
+  return index_.table_ids();
 }
 
 ShardHealth InProcessBackend::Health() const {
@@ -107,12 +102,7 @@ Result<std::vector<std::vector<ShardHit>>> DistributedBackend::ShardQuery(
 }
 
 Result<std::vector<std::string>> DistributedBackend::TableIds() const {
-  std::vector<std::string> ids;
-  ids.reserve(index_.num_tables());
-  for (size_t h = 0; h < index_.num_tables(); ++h) {
-    ids.push_back(index_.table_id(h));
-  }
-  return ids;
+  return index_.table_ids();
 }
 
 ShardHealth DistributedBackend::Health() const {

@@ -7,6 +7,7 @@
 
 #include "search/lake_index.h"
 #include "search/lake_manifest.h"
+#include "search/table_ranker.h"
 #include "server/lake_client.h"
 #include "util/hash.h"
 #include "util/mutex.h"
@@ -15,7 +16,7 @@
 
 namespace tsfm::server {
 
-using search::ColumnEmbeddingIndex;
+using search::HandleMap;
 using search::TableRanker;
 
 namespace {
@@ -28,6 +29,17 @@ struct ShardEndpoint {
   Mutex mu;
   std::vector<std::unique_ptr<LakeClient>> idle LAKS_GUARDED_BY(mu);
 };
+
+// id -> handles bearing it, oldest first: the coordinator's mirror of
+// each worker's newest-live RemoveTable rule.
+std::unordered_map<std::string, std::vector<size_t>> HandlesById(
+    const HandleMap& handles) {
+  std::unordered_map<std::string, std::vector<size_t>> by_id;
+  for (size_t h = 0; h < handles.size(); ++h) {
+    by_id[handles.id(h)].push_back(h);
+  }
+  return by_id;
+}
 
 }  // namespace
 
@@ -47,24 +59,19 @@ struct DistributedLakeIndex::State {
   // `maps_mu` pins a map epoch: queries hold it shared across their whole
   // scatter+remap+rank so a concurrent Compact's map swap (unique) can
   // never tear a result. `writer_mu` serializes mutations against each
-  // other; fields only mutations touch (the coordinator's mirror of each
-  // worker's newest-live rule) are guarded by it alone, since no query
-  // ever reads them.
+  // other; the churn mirror (the coordinator's copy of each worker's
+  // tombstones and newest-live rule) is guarded by it alone, since no
+  // query ever reads it.
   Mutex writer_mu;
   mutable SharedMutex maps_mu LAKS_ACQUIRED_AFTER(writer_mu);
 
   size_t num_columns LAKS_GUARDED_BY(maps_mu) = 0;
-  // handle -> id
-  std::vector<std::string> global_ids LAKS_GUARDED_BY(maps_mu);
-  // shard -> local -> handle
-  std::vector<std::vector<size_t>> to_global LAKS_GUARDED_BY(maps_mu);
+  HandleMap handles LAKS_GUARDED_BY(maps_mu);
   uint64_t pending_delta_tables LAKS_GUARDED_BY(maps_mu) = 0;
   uint64_t pending_tombstones LAKS_GUARDED_BY(maps_mu) = 0;
   uint64_t compactions LAKS_GUARDED_BY(maps_mu) = 0;
 
-  // --- mutation bookkeeping, guarded by writer_mu only ---
-  // handle -> (shard, local)
-  std::vector<std::pair<size_t, size_t>> locator LAKS_GUARDED_BY(writer_mu);
+  // --- churn mirror, guarded by writer_mu only ---
   // handle -> tombstoned?
   std::vector<uint8_t> dead LAKS_GUARDED_BY(writer_mu);
   std::unordered_map<std::string, std::vector<size_t>> handles_by_id
@@ -79,14 +86,20 @@ struct DistributedLakeIndex::State {
   // against the old epoch).
   bool mutations_broken LAKS_GUARDED_BY(writer_mu) = false;
 
-  /// Scatters one SHARD_QUERY over all workers and remaps hits to global
-  /// handles: result[column] holds one sorted list per shard, ready for
-  /// TableRanker::MergeColumnHits. Lives on State (not the public class)
-  /// so the shared-lock requirement can name maps_mu directly.
-  Result<std::vector<std::vector<
-      std::vector<search::ColumnEmbeddingIndex::ColumnHit>>>>
-  ScatterColumnHits(const std::vector<std::vector<float>>& columns, size_t m,
-                    ThreadPool* pool) LAKS_REQUIRES_SHARED(maps_mu);
+  /// Ranked ids per query through TableRanker's query core, under one
+  /// shared map epoch. Lives on State (not the public class) so the lock
+  /// annotations can name maps_mu directly.
+  template <typename Query>
+  Result<std::vector<std::vector<std::string>>> QueryBatch(
+      const std::vector<Query>& queries, size_t k, ThreadPool* pool)
+      LAKS_EXCLUDES(maps_mu);
+
+  /// The coordinator's shard searcher: `columns` to worker `s` in
+  /// SHARD_QUERY frames, hits remapped through `map` (pinned by the
+  /// caller's shared lock).
+  Result<TableRanker::HitLists> SearchShard(
+      size_t s, const HandleMap& map,
+      const std::vector<std::vector<float>>& columns, size_t m);
 
   Status Annotate(size_t shard, const Status& status) const {
     return Status(status.code(), "shard " + std::to_string(shard) + " (" +
@@ -201,7 +214,7 @@ size_t DistributedLakeIndex::num_shards() const { return state_->shards.size(); 
 size_t DistributedLakeIndex::num_tables() const {
   State& st = *state_;
   ReaderMutexLock lock(&st.maps_mu);
-  return st.global_ids.size();
+  return st.handles.size();
 }
 size_t DistributedLakeIndex::num_columns() const {
   State& st = *state_;
@@ -216,7 +229,12 @@ search::Metric DistributedLakeIndex::metric() const { return state_->metric; }
 std::string DistributedLakeIndex::table_id(size_t handle) const {
   State& st = *state_;
   ReaderMutexLock lock(&st.maps_mu);
-  return st.global_ids[handle];
+  return st.handles.id(handle);
+}
+std::vector<std::string> DistributedLakeIndex::table_ids() const {
+  State& st = *state_;
+  ReaderMutexLock lock(&st.maps_mu);
+  return st.handles.ids();
 }
 const std::string& DistributedLakeIndex::worker_socket(size_t shard) const {
   return state_->shards[shard]->socket_path;
@@ -305,25 +323,12 @@ Result<DistributedLakeIndex> DistributedLakeIndex::Connect(
   // Rebuild the global handle space in insertion order from the locator,
   // exactly as ShardedLakeIndex::Load does — this is what keeps the Fig 6
   // tie-breaking identical between the two deployments.
-  st.to_global.resize(num_shards);
-  for (size_t s = 0; s < num_shards; ++s) {
-    st.to_global[s].assign(shard_tables[s].size(), SIZE_MAX);
-  }
-  st.global_ids.reserve(manifest.num_tables());
-  for (const auto& [shard, local] : manifest.locator) {
-    if (local >= st.to_global[shard].size() ||
-        st.to_global[shard][local] != SIZE_MAX) {
-      return Status::ParseError("lake manifest " + manifest_path +
-                                " has an invalid or duplicate table record");
-    }
-    const size_t handle = st.global_ids.size();
-    st.to_global[shard][local] = handle;
-    st.locator.emplace_back(static_cast<size_t>(shard),
-                            static_cast<size_t>(local));
-    st.handles_by_id[shard_tables[shard][local]].push_back(handle);
-    st.global_ids.push_back(shard_tables[shard][local]);
-  }
-  st.dead.assign(st.global_ids.size(), 0);
+  Result<HandleMap> handles = HandleMap::FromLocator(
+      manifest.locator, std::move(shard_tables), manifest_path);
+  if (!handles.ok()) return handles.status();
+  st.handles = std::move(handles).value();
+  st.handles_by_id = HandlesById(st.handles);
+  st.dead.assign(st.handles.size(), 0);
   // A churned manifest means the workers carry tombstones this handshake
   // cannot see, so the coordinator's newest-live bookkeeping would
   // diverge from theirs: serve queries, refuse mutations.
@@ -337,137 +342,86 @@ Result<DistributedLakeIndex> DistributedLakeIndex::Connect(
   return DistributedLakeIndex(std::move(state));
 }
 
-Result<std::vector<std::vector<std::vector<ColumnEmbeddingIndex::ColumnHit>>>>
-DistributedLakeIndex::State::ScatterColumnHits(
-    const std::vector<std::vector<float>>& columns, size_t m,
-    ThreadPool* pool) {
-  const size_t num_shards = shards.size();
-  std::vector<Result<std::vector<std::vector<ShardHit>>>> raw(
-      num_shards, Status::Internal("shard not queried"));
-  auto query_shard = [&](size_t s) {
-    raw[s] = CallShard(s, [&](LakeClient& client) {
-      return client.ShardQuery(columns, m);
-    });
-  };
-  if (pool != nullptr && num_shards > 1) {
-    ParallelFor(pool, 0, num_shards, query_shard);
-  } else {
-    for (size_t s = 0; s < num_shards; ++s) query_shard(s);
-  }
-
-  // result[column][shard]: the sorted lists MergeColumnHits expects. The
-  // local->global remap is monotone (locals are insertion-ordered), so
-  // each list stays sorted by (distance, table, column).
-  std::vector<std::vector<std::vector<ColumnEmbeddingIndex::ColumnHit>>>
-      result(columns.size());
-  for (auto& per_shard : result) per_shard.resize(num_shards);
-  for (size_t s = 0; s < num_shards; ++s) {
-    if (!raw[s].ok()) return raw[s].status();
-    const auto& lists = raw[s].value();
-    if (lists.size() != columns.size()) {
+Result<TableRanker::HitLists> DistributedLakeIndex::State::SearchShard(
+    size_t s, const HandleMap& map,
+    const std::vector<std::vector<float>>& columns, size_t m) {
+  // One frame for the whole batch, unless its request (dim floats per
+  // column) or its worst-case response (m 16-byte hits per column) would
+  // cross max_frame_bytes.
+  constexpr size_t kEnvelopeBytes = 64;  // headers, counts, status
+  constexpr size_t kHitBytes =
+      sizeof(uint64_t) + sizeof(uint32_t) + sizeof(float);
+  const size_t dim = columns.empty() ? 0 : columns[0].size();
+  const size_t per_column =
+      std::max(dim * sizeof(float), sizeof(uint32_t) + m * kHitBytes);
+  const size_t budget =
+      std::max(options.max_frame_bytes, kEnvelopeBytes) - kEnvelopeBytes;
+  const size_t per_frame =
+      std::clamp<size_t>(budget / per_column, 1, kMaxMessageColumns);
+  TableRanker::HitLists out;
+  out.reserve(columns.size());
+  for (size_t begin = 0; begin < columns.size(); begin += per_frame) {
+    const std::vector<std::vector<float>> frame(
+        columns.begin() + begin,
+        columns.begin() + std::min(columns.size(), begin + per_frame));
+    auto lists = CallShard(
+        s, [&](LakeClient& client) { return client.ShardQuery(frame, m); });
+    if (!lists.ok()) return lists.status();
+    if (lists.value().size() != frame.size()) {
       return Annotate(
           s, Status::ParseError("worker answered " +
-                                std::to_string(lists.size()) +
+                                std::to_string(lists.value().size()) +
                                 " hit lists for " +
-                                std::to_string(columns.size()) + " columns"));
+                                std::to_string(frame.size()) + " columns"));
     }
-    for (size_t c = 0; c < lists.size(); ++c) {
-      auto& out = result[c][s];
-      out.reserve(lists[c].size());
-      for (const ShardHit& hit : lists[c]) {
-        if (hit.table >= to_global[s].size()) {
+    // Local handles are insertion-ordered, so the remap is monotone and
+    // each list stays sorted by (distance, table, column).
+    for (const std::vector<ShardHit>& list : lists.value()) {
+      auto& hits = out.emplace_back();
+      hits.reserve(list.size());
+      for (const ShardHit& hit : list) {
+        if (hit.table >= map.shard_size(s)) {
           return Annotate(
               s, Status::ParseError("worker returned unknown table handle " +
                                     std::to_string(hit.table)));
         }
-        out.push_back({to_global[s][hit.table], hit.column, hit.distance});
+        hits.push_back({map.global(s, hit.table), hit.column, hit.distance});
       }
     }
-  }
-  return result;
-}
-
-Result<std::vector<std::string>> DistributedLakeIndex::QueryJoinable(
-    const std::vector<float>& query_column, size_t k, ThreadPool* pool) const {
-  // Pin one map epoch across the whole scatter+remap+rank: a concurrent
-  // Compact re-densifies the maps under the unique side of this lock.
-  State& st = *state_;
-  ReaderMutexLock lock(&st.maps_mu);
-  auto scattered = st.ScatterColumnHits({query_column}, k * 3, pool);
-  if (!scattered.ok()) return scattered.status();
-  auto merged = TableRanker::MergeColumnHits(scattered.value()[0], k * 3);
-  return search::RankedTableIds(
-      st.global_ids,
-      TableRanker::RankFromSingleColumnHits(merged, /*exclude=*/SIZE_MAX), k);
-}
-
-Result<std::vector<std::string>> DistributedLakeIndex::QueryUnionable(
-    const std::vector<std::vector<float>>& query_columns, size_t k,
-    ThreadPool* pool) const {
-  State& st = *state_;
-  ReaderMutexLock lock(&st.maps_mu);
-  auto scattered = st.ScatterColumnHits(query_columns, k * 3, pool);
-  if (!scattered.ok()) return scattered.status();
-  std::vector<std::vector<ColumnEmbeddingIndex::ColumnHit>> per_column_hits;
-  per_column_hits.reserve(query_columns.size());
-  for (const auto& per_shard : scattered.value()) {
-    per_column_hits.push_back(TableRanker::MergeColumnHits(per_shard, k * 3));
-  }
-  return search::RankedTableIds(
-      st.global_ids,
-      TableRanker::RankFromColumnHits(per_column_hits, /*exclude=*/SIZE_MAX),
-      k);
-}
-
-namespace {
-
-// Shared batch fan-out: per-query results gathered under the same
-// pool-or-serial rules as ShardedLakeIndex's batch entry points, with the
-// first shard failure (lowest query index) failing the batch.
-template <typename Query, typename Fn>
-Result<std::vector<std::vector<std::string>>> RunBatch(
-    const std::vector<Query>& queries, ThreadPool* pool, Fn&& run_one) {
-  std::vector<Result<std::vector<std::string>>> results(
-      queries.size(), Status::Internal("query not run"));
-  if (pool != nullptr && queries.size() > 1) {
-    // Fan out over queries; the per-query scatter stays serial because
-    // ParallelFor must not nest on one pool.
-    ParallelFor(pool, 0, queries.size(),
-                [&](size_t q) { results[q] = run_one(queries[q], nullptr); });
-  } else {
-    for (size_t q = 0; q < queries.size(); ++q) {
-      results[q] = run_one(queries[q], pool);
-    }
-  }
-  std::vector<std::vector<std::string>> out;
-  out.reserve(queries.size());
-  for (auto& result : results) {
-    if (!result.ok()) return result.status();
-    out.push_back(std::move(result).value());
   }
   return out;
 }
 
-}  // namespace
+template <typename Query>
+Result<std::vector<std::vector<std::string>>>
+DistributedLakeIndex::State::QueryBatch(const std::vector<Query>& queries,
+                                        size_t k, ThreadPool* pool) {
+  // Pin one map epoch across the whole scatter+remap+rank: a concurrent
+  // Compact re-densifies the map under the unique side of this lock. The
+  // searcher runs on pool threads, so it captures an alias bound under it.
+  ReaderMutexLock lock(&maps_mu);
+  const HandleMap& map = handles;
+  auto ranked = TableRanker::ScatterMergeRank(
+      queries, k, /*excludes=*/{}, shards.size(),
+      [this, &map](size_t s, const std::vector<std::vector<float>>& columns,
+                   size_t m) { return SearchShard(s, map, columns, m); },
+      pool);
+  if (!ranked.ok()) return ranked.status();
+  return map.RankedIds(ranked.value(), k);
+}
 
 Result<std::vector<std::vector<std::string>>>
 DistributedLakeIndex::QueryJoinableBatch(
     const std::vector<std::vector<float>>& query_columns, size_t k,
     ThreadPool* pool) const {
-  return RunBatch(query_columns, pool,
-                  [&](const std::vector<float>& q, ThreadPool* p) {
-                    return QueryJoinable(q, k, p);
-                  });
+  return state_->QueryBatch(query_columns, k, pool);
 }
 
 Result<std::vector<std::vector<std::string>>>
 DistributedLakeIndex::QueryUnionableBatch(
     const std::vector<std::vector<std::vector<float>>>& queries, size_t k,
     ThreadPool* pool) const {
-  return RunBatch(queries, pool,
-                  [&](const std::vector<std::vector<float>>& q, ThreadPool* p) {
-                    return QueryUnionable(q, k, p);
-                  });
+  return state_->QueryBatch(queries, k, pool);
 }
 
 namespace {
@@ -509,11 +463,7 @@ Status DistributedLakeIndex::AddTable(
     return sent;
   }
   WriterMutexLock lock(&st.maps_mu);
-  const size_t handle = st.global_ids.size();
-  st.to_global[shard].push_back(handle);
-  st.locator.emplace_back(shard, st.to_global[shard].size() - 1);
-  st.handles_by_id[table_id].push_back(handle);
-  st.global_ids.push_back(table_id);
+  st.handles_by_id[table_id].push_back(st.handles.Append(shard, table_id));
   st.dead.push_back(0);
   st.num_columns += columns.size();
   ++st.pending_delta_tables;
@@ -592,18 +542,19 @@ Status DistributedLakeIndex::Compact(ThreadPool* pool) {
     return compacted[first_failure];
   }
 
-  // Phase 2: verify each worker's post-compaction shape against the
-  // survivor counts these maps predict. global_ids is pinned with a brief
-  // shared lock (queries keep running); dead and locator need only
-  // writer_mu, which this function holds throughout.
-  std::vector<size_t> survivors(num_shards, 0);
-  size_t live_columns = 0;
+  // Phase 2: re-densify the handle map as each worker's full rebuild did
+  // (survivors keep their per-shard order), so the new local handle spaces
+  // line up without another table-list fetch, and check every worker's
+  // table count against it. Built under the shared lock (queries keep
+  // running); writer_mu, held since entry, keeps read-build-swap atomic
+  // against other mutations across the lock-upgrade gap below.
+  HandleMap densified;
   {
     ReaderMutexLock maps_lock(&st.maps_mu);
-    for (size_t h = 0; h < st.global_ids.size(); ++h) {
-      if (!st.dead[h]) ++survivors[st.locator[h].first];
-    }
+    const std::vector<uint8_t>& dead = st.dead;
+    densified = st.handles.Compacted([&](size_t h) { return dead[h] == 0; });
   }
+  size_t live_columns = 0;
   for (size_t s = 0; s < num_shards; ++s) {
     Result<ShardHealth> health = st.CallShard(
         s, [](LakeClient& client) { return client.Health(); });
@@ -611,47 +562,25 @@ Status DistributedLakeIndex::Compact(ThreadPool* pool) {
       st.mutations_broken = true;
       return health.status();
     }
-    if (health.value().num_tables != survivors[s]) {
+    if (health.value().num_tables != densified.shard_size(s)) {
       st.mutations_broken = true;
       return st.Annotate(
           s, Status::Internal(
                  "worker holds " + std::to_string(health.value().num_tables) +
                  " tables after compaction, coordinator expected " +
-                 std::to_string(survivors[s]) + "; reconnect to recover"));
+                 std::to_string(densified.shard_size(s)) +
+                 "; reconnect to recover"));
     }
     live_columns += static_cast<size_t>(health.value().num_columns);
   }
 
-  // Phase 3: re-densify the global maps exactly as each worker's full
-  // rebuild did — survivors keep their per-shard insertion order — so the
-  // new local handle spaces line up without another table-list fetch.
-  std::vector<std::string> new_ids;
-  std::vector<std::pair<size_t, size_t>> new_locator;
-  std::vector<std::vector<size_t>> new_to_global(num_shards);
-  std::unordered_map<std::string, std::vector<size_t>> new_handles_by_id;
-  {
-    // Build off the exclusive lock (queries keep running against the old
-    // epoch); the shared lock pins global_ids, and writer_mu — held since
-    // entry — keeps the whole read-build-swap sequence atomic against
-    // other mutations even across the lock-upgrade gap below.
-    ReaderMutexLock maps_lock(&st.maps_mu);
-    new_ids.reserve(st.global_ids.size());
-    for (size_t h = 0; h < st.global_ids.size(); ++h) {
-      if (st.dead[h]) continue;
-      const size_t shard = st.locator[h].first;
-      const size_t handle = new_ids.size();
-      new_to_global[shard].push_back(handle);
-      new_locator.emplace_back(shard, new_to_global[shard].size() - 1);
-      new_handles_by_id[st.global_ids[h]].push_back(handle);
-      new_ids.push_back(st.global_ids[h]);
-    }
-  }
+  // Phase 3: swap the new epoch in.
+  std::unordered_map<std::string, std::vector<size_t>> handles_by_id =
+      HandlesById(densified);
   WriterMutexLock lock(&st.maps_mu);
-  st.global_ids = std::move(new_ids);
-  st.locator = std::move(new_locator);
-  st.to_global = std::move(new_to_global);
-  st.handles_by_id = std::move(new_handles_by_id);
-  st.dead.assign(st.global_ids.size(), 0);
+  st.handles = std::move(densified);
+  st.handles_by_id = std::move(handles_by_id);
+  st.dead.assign(st.handles.size(), 0);
   st.num_columns = live_columns;
   st.pending_delta_tables = 0;
   st.pending_tombstones = 0;

@@ -3,15 +3,18 @@
 // boundaries. Each shard of a saved "LAKS" lake runs as its own
 // lake_shard_worker process serving one shard file over the AF_UNIX wire
 // protocol; this coordinator opens only the manifest, handshakes every
-// worker, and answers the same join/union query surface by scattering
-// SHARD_QUERY frames and gathering through the exact ranking code the
-// in-process index uses (TableRanker::MergeColumnHits + Fig 6 RANK1/2).
+// worker, and answers the same join/union batch surface through the query
+// core the in-process index uses (TableRanker::ScatterMergeRank). Its
+// shard searcher sends each worker ONE SHARD_QUERY frame per batch, and
+// splits a batch over more frames only when the request (columns x dim x
+// 4 B) or the worst-case response (columns x m x 16 B) would cross
+// DistributedOptions::max_frame_bytes.
 //
 // Parity: a SHARD_QUERY returns each worker's sorted top-m column hits in
 // its local handle space with precomputed query embeddings on the wire (so
 // workers never re-embed); the coordinator remaps local handles through
-// the manifest's locator into the global insertion order — the same
-// monotone remap ShardedLakeIndex uses — which makes flat-backend results
+// the manifest's locator (a search::HandleMap, as in ShardedLakeIndex)
+// into the global insertion order, which makes flat-backend results
 // bit-identical to the in-process sharded index over the same shard files
 // (tests/distributed_lake_index_test.cc proves this at 1/2/4 workers).
 //
@@ -29,7 +32,6 @@
 #include <string>
 #include <vector>
 
-#include "search/table_ranker.h"
 #include "search/vector_index.h"
 #include "server/protocol.h"
 #include "util/status.h"
@@ -64,12 +66,12 @@ struct LakeChurnCounters {
 
 /// \brief A ShardedLakeIndex-shaped query surface over worker processes.
 ///
-/// Construct with Connect. Query methods mirror ShardedLakeIndex
-/// (QueryJoinable/QueryUnionable + batch variants, optional ThreadPool to
-/// fan the scatter out) but return Result: a dead or mismatched worker is
-/// a recoverable error naming the shard, not a crash. All query methods
-/// are const-thread-safe; the connection pool grows on demand. Movable,
-/// not copyable.
+/// Construct with Connect. Query methods mirror ShardedLakeIndex's batch
+/// entry points (a single query is a batch of one; an optional ThreadPool
+/// fans the scatter out over workers) but return Result: a dead or
+/// mismatched worker is a recoverable error naming the shard, not a crash.
+/// All query methods are const-thread-safe; the connection pool grows on
+/// demand. Movable, not copyable.
 class DistributedLakeIndex {
  public:
   /// \brief Opens the manifest, handshakes every worker, builds the global
@@ -99,24 +101,16 @@ class DistributedLakeIndex {
   DistributedLakeIndex(const DistributedLakeIndex&) = delete;
   DistributedLakeIndex& operator=(const DistributedLakeIndex&) = delete;
 
-  /// Ranked table ids for a join query on a single column.
-  Result<std::vector<std::string>> QueryJoinable(
-      const std::vector<float>& query_column, size_t k,
-      ThreadPool* pool = nullptr) const;
-
-  /// Ranked table ids for a union/subset query (Fig 6 multi-column rank).
-  Result<std::vector<std::string>> QueryUnionable(
-      const std::vector<std::vector<float>>& query_columns, size_t k,
-      ThreadPool* pool = nullptr) const;
-
-  /// One QueryJoinable result per query column; queries fan out over
-  /// `pool`, each query's scatter then runs serially (ParallelFor must not
-  /// nest). The first shard failure fails the whole batch.
+  /// Ranked table ids per join query (one column each). The batch is one
+  /// scatter: every worker gets one SHARD_QUERY frame (more only past the
+  /// frame ceiling), workers fanned out over `pool`. Any shard failure
+  /// fails the whole batch with a Status naming the shard and its socket.
   Result<std::vector<std::vector<std::string>>> QueryJoinableBatch(
       const std::vector<std::vector<float>>& query_columns, size_t k,
       ThreadPool* pool = nullptr) const;
 
-  /// One QueryUnionable result per query; same fan-out and failure rules.
+  /// Ranked table ids per union/subset query (Fig 6 multi-column rank);
+  /// all queries' columns share one scatter, with the same failure rule.
   Result<std::vector<std::vector<std::string>>> QueryUnionableBatch(
       const std::vector<std::vector<std::vector<float>>>& queries, size_t k,
       ThreadPool* pool = nullptr) const;
@@ -166,6 +160,8 @@ class DistributedLakeIndex {
   /// The id behind a global handle (a copy: the maps may be re-densified
   /// by a concurrent Compact).
   std::string table_id(size_t handle) const;
+  /// Every id in handle order, from one epoch of the handle map.
+  std::vector<std::string> table_ids() const;
   const std::string& worker_socket(size_t shard) const;
 
  private:

@@ -144,15 +144,16 @@ void LakeServer::MaybeAutoCompact() {
     return;
   }
   if (compacting_.exchange(true)) return;  // one in flight is enough
-  // The compaction itself runs serially (pool=nullptr): its task lives on
-  // the query pool, and ParallelFor must not nest on the pool it runs on.
-  // Stop() drains the query pool, so a compaction in flight at shutdown
-  // completes rather than being torn out from under the backend.
+  // The compaction task lives on the query pool and rebuilds shards over
+  // that same pool, as a client COMPACT does: ParallelFor is nest-safe
+  // (util/thread_pool.h). Stop() drains the query pool, so a compaction in
+  // flight at shutdown completes rather than being torn out from under the
+  // backend (on a pool already shut down, ParallelFor runs inline).
   if (!query_pool_->Submit([this] {
         // Ignorable: there is no client on this code path to report a
         // failure to, and it already shows up in the still-elevated churn
         // counters the next STATS read returns.
-        (void)backend_->Compact(nullptr);
+        (void)backend_->Compact(query_pool_.get());
         compacting_.store(false);
       })) {
     compacting_.store(false);

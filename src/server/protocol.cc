@@ -21,7 +21,6 @@ namespace {
 // bytes, but a garbage payload can still claim absurd element counts; these
 // caps turn that into kParseError before any large allocation. Every
 // legitimate message is far below them.
-constexpr uint64_t kMaxColumns = 1u << 16;
 constexpr uint64_t kMaxDim = 1u << 16;
 constexpr uint64_t kMaxIds = 1u << 20;
 constexpr uint64_t kMaxIdBytes = 1u << 20;
@@ -170,7 +169,7 @@ Status DecodeRequest(std::istream& in, Request* request) {
     if (!ReadPod(in, &num_columns) || !ReadPod(in, &dim)) {
       return Truncated("table shape");
     }
-    if (num_columns > kMaxColumns || dim > kMaxDim) {
+    if (num_columns > kMaxMessageColumns || dim > kMaxDim) {
       return Status::ParseError("table shape " + std::to_string(num_columns) +
                                 "x" + std::to_string(dim) +
                                 " exceeds protocol limits");
@@ -190,7 +189,7 @@ Status DecodeRequest(std::istream& in, Request* request) {
       !ReadPod(in, &dim)) {
     return Truncated("request query header");
   }
-  if (num_columns > kMaxColumns || dim > kMaxDim) {
+  if (num_columns > kMaxMessageColumns || dim > kMaxDim) {
     return Status::ParseError("query shape " + std::to_string(num_columns) +
                               "x" + std::to_string(dim) +
                               " exceeds protocol limits");
@@ -319,7 +318,7 @@ Status DecodeResponse(std::istream& in, Response* response) {
   if (response->op == Opcode::kShardQuery) {
     uint32_t num_lists = 0;
     if (!ReadPod(in, &num_lists)) return Truncated("hit list count");
-    if (num_lists > kMaxColumns) {
+    if (num_lists > kMaxMessageColumns) {
       return Status::ParseError("hit list count exceeds protocol limits");
     }
     response->hits.resize(num_lists);

@@ -45,6 +45,10 @@ inline constexpr uint8_t kMinProtocolVersion = 1;
 /// negotiated ceiling is answered with a Status error, not an allocation.
 inline constexpr size_t kDefaultMaxFrameBytes = 16u << 20;
 
+/// Most query columns (or SHARD_QUERY hit lists) one message may carry;
+/// decoders reject larger counts before allocating.
+inline constexpr uint64_t kMaxMessageColumns = 1u << 16;
+
 /// Request kinds. Values are wire format — never renumber.
 enum class Opcode : uint8_t {
   kJoin = 1,         ///< rank tables joinable on one query column

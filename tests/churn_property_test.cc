@@ -216,13 +216,13 @@ class DistributedDriver : public Driver {
   void Compact() override { ASSERT_TRUE(coordinator_->Compact().ok()); }
   std::vector<std::string> Join(const std::vector<float>& q,
                                 size_t k) override {
-    auto ranked = coordinator_->QueryJoinable(q, k);
+    auto ranked = testutil::JoinBatchOfOne(*coordinator_, q, k);
     EXPECT_TRUE(ranked.ok()) << ranked.status().ToString();
     return ranked.ok() ? std::move(ranked).value() : std::vector<std::string>{};
   }
   std::vector<std::string> Union(const std::vector<std::vector<float>>& q,
                                  size_t k) override {
-    auto ranked = coordinator_->QueryUnionable(q, k);
+    auto ranked = testutil::UnionBatchOfOne(*coordinator_, q, k);
     EXPECT_TRUE(ranked.ok()) << ranked.status().ToString();
     return ranked.ok() ? std::move(ranked).value() : std::vector<std::string>{};
   }

@@ -3,8 +3,10 @@
 // in-process ShardedLakeIndex over the same shard files (flat backend, so
 // byte-for-byte), and every coordinator fault path — worker killed
 // mid-serving, worker never started, stale socket path, mixed-version
-// handshake, silent (wedged) worker — must end in a Status error naming
-// the shard, never a hang or a crash.
+// handshake, silent (wedged) worker, a shard failing mid-batch — must end
+// in a Status error naming the shard, never a hang or a crash. A batch
+// costs each worker one SHARD_QUERY frame, more only past the frame
+// ceiling.
 //
 // Workers are forked via ShardWorkerFleet. Forking must precede any
 // thread creation in this process, so every test spawns its fleet before
@@ -33,6 +35,7 @@
 #include "server/lake_server.h"
 #include "server/protocol.h"
 #include "server/shard_worker.h"
+#include "test_util.h"
 #include "util/random.h"
 #include "util/thread_pool.h"
 
@@ -41,6 +44,8 @@ namespace {
 
 using search::IndexOptions;
 using search::ShardedLakeIndex;
+using testutil::JoinBatchOfOne;
+using testutil::UnionBatchOfOne;
 
 constexpr size_t kDim = 16;
 
@@ -140,22 +145,22 @@ TEST_P(DistributedParityTest, BitIdenticalToInProcessShardedIndex) {
 
   for (size_t k : {size_t{1}, size_t{5}, size_t{100}}) {
     for (const auto& q : corpus.join_queries) {
-      auto got = dist.QueryJoinable(q, k);
+      auto got = JoinBatchOfOne(dist, q, k);
       ASSERT_TRUE(got.ok()) << got.status().ToString();
       EXPECT_EQ(got.value(), reference.QueryJoinable(q, k));
     }
     for (const auto& q : corpus.union_queries) {
-      auto got = dist.QueryUnionable(q, k);
+      auto got = UnionBatchOfOne(dist, q, k);
       ASSERT_TRUE(got.ok()) << got.status().ToString();
       EXPECT_EQ(got.value(), reference.QueryUnionable(q, k));
     }
   }
 
   // Degenerate shapes must match the in-process answers too.
-  auto zero_k = dist.QueryJoinable(corpus.join_queries[0], 0);
+  auto zero_k = JoinBatchOfOne(dist, corpus.join_queries[0], 0);
   ASSERT_TRUE(zero_k.ok());
   EXPECT_EQ(zero_k.value(), reference.QueryJoinable(corpus.join_queries[0], 0));
-  auto no_columns = dist.QueryUnionable({}, 5);
+  auto no_columns = UnionBatchOfOne(dist, {}, 5);
   ASSERT_TRUE(no_columns.ok());
   EXPECT_EQ(no_columns.value(), reference.QueryUnionable({}, 5));
 
@@ -190,13 +195,103 @@ TEST_P(DistributedParityTest, BatchEntryPointsMatchWithAndWithoutPool) {
   auto expect_join = reference.QueryJoinableBatch(corpus.join_queries, k);
   auto expect_union = reference.QueryUnionableBatch(corpus.union_queries, k);
   for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
-    auto join = coordinator.value().QueryJoinableBatch(corpus.join_queries, k, p);
+    auto join =
+        coordinator.value().QueryJoinableBatch(corpus.join_queries, k, p);
     ASSERT_TRUE(join.ok()) << join.status().ToString();
     EXPECT_EQ(join.value(), expect_join);
     auto got_union =
         coordinator.value().QueryUnionableBatch(corpus.union_queries, k, p);
     ASSERT_TRUE(got_union.ok()) << got_union.status().ToString();
     EXPECT_EQ(got_union.value(), expect_union);
+  }
+}
+
+// Each worker's SHARD_QUERY count (workers count the frames they served).
+std::vector<uint64_t> WorkerRequests(const std::vector<std::string>& sockets) {
+  std::vector<uint64_t> requests;
+  for (const std::string& socket : sockets) {
+    LakeClient client;
+    EXPECT_TRUE(client.Connect(socket).ok()) << socket;
+    auto stats = client.Stats();
+    EXPECT_TRUE(stats.ok()) << stats.status().ToString();
+    requests.push_back(stats.ok() ? stats.value().requests : 0);
+  }
+  return requests;
+}
+
+// A batch is one scatter: B join queries, and then B union queries, cost
+// every worker exactly one SHARD_QUERY frame each.
+TEST_P(DistributedParityTest, BatchCostsOneShardQueryFramePerWorker) {
+  const size_t workers = GetParam();
+  Corpus corpus = MakeCorpus(50, 40 + workers);
+  ShardedLakeIndex reference = BuildIndex(corpus, workers);
+  WorkerFleet fleet;
+  fleet.Start(reference);
+
+  auto coordinator =
+      DistributedLakeIndex::Connect(fleet.manifest_path(), fleet.sockets());
+  ASSERT_TRUE(coordinator.ok()) << coordinator.status().ToString();
+  ThreadPool pool(4);
+
+  const size_t k = 7;
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    const auto before = WorkerRequests(fleet.sockets());
+    auto join =
+        coordinator.value().QueryJoinableBatch(corpus.join_queries, k, p);
+    ASSERT_TRUE(join.ok()) << join.status().ToString();
+    EXPECT_EQ(join.value(),
+              reference.QueryJoinableBatch(corpus.join_queries, k));
+    const auto between = WorkerRequests(fleet.sockets());
+    auto got_union =
+        coordinator.value().QueryUnionableBatch(corpus.union_queries, k, p);
+    ASSERT_TRUE(got_union.ok()) << got_union.status().ToString();
+    EXPECT_EQ(got_union.value(),
+              reference.QueryUnionableBatch(corpus.union_queries, k));
+    const auto after = WorkerRequests(fleet.sockets());
+    for (size_t s = 0; s < workers; ++s) {
+      EXPECT_EQ(between[s] - before[s], 1u) << "join batch, shard " << s;
+      EXPECT_EQ(after[s] - between[s], 1u) << "union batch, shard " << s;
+    }
+  }
+}
+
+// A frame ceiling too small for a whole batch splits it over several
+// SHARD_QUERY frames per worker; the rankings must not move.
+TEST_P(DistributedParityTest, BatchSplitAtTheFrameCeilingStaysBitIdentical) {
+  const size_t workers = GetParam();
+  Corpus corpus = MakeCorpus(50, 50 + workers);
+  ShardedLakeIndex reference = BuildIndex(corpus, workers);
+  WorkerFleet fleet;
+  fleet.Start(reference);
+
+  // k = 7 asks each worker for 21 hits per column, about 340 response
+  // bytes, so a 2 KiB frame holds only a few of the batch's columns.
+  DistributedOptions options;
+  options.max_frame_bytes = 2048;
+  auto coordinator = DistributedLakeIndex::Connect(fleet.manifest_path(),
+                                                   fleet.sockets(), options);
+  ASSERT_TRUE(coordinator.ok()) << coordinator.status().ToString();
+  ThreadPool pool(4);
+
+  const size_t k = 7;
+  auto expect_join = reference.QueryJoinableBatch(corpus.join_queries, k);
+  auto expect_union = reference.QueryUnionableBatch(corpus.union_queries, k);
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    const auto before = WorkerRequests(fleet.sockets());
+    auto join =
+        coordinator.value().QueryJoinableBatch(corpus.join_queries, k, p);
+    ASSERT_TRUE(join.ok()) << join.status().ToString();
+    EXPECT_EQ(join.value(), expect_join);
+    const auto between = WorkerRequests(fleet.sockets());
+    auto got_union =
+        coordinator.value().QueryUnionableBatch(corpus.union_queries, k, p);
+    ASSERT_TRUE(got_union.ok()) << got_union.status().ToString();
+    EXPECT_EQ(got_union.value(), expect_union);
+    const auto after = WorkerRequests(fleet.sockets());
+    for (size_t s = 0; s < workers; ++s) {
+      EXPECT_GT(between[s] - before[s], 1u) << "join batch, shard " << s;
+      EXPECT_GT(after[s] - between[s], 1u) << "union batch, shard " << s;
+    }
   }
 }
 
@@ -262,13 +357,13 @@ TEST(DistributedFaultTest, KilledWorkerYieldsStatusNamingTheShardNotAHang) {
 
   // Warm the connection pool so the failure exercises the stale-connection
   // retry path, then crash shard 1 outright.
-  auto warm = coordinator.value().QueryJoinable(corpus.join_queries[0], 5);
+  auto warm = JoinBatchOfOne(coordinator.value(), corpus.join_queries[0], 5);
   ASSERT_TRUE(warm.ok()) << warm.status().ToString();
   EXPECT_EQ(warm.value(), reference.QueryJoinable(corpus.join_queries[0], 5));
   fleet.KillWorker(1);
 
   const auto start = std::chrono::steady_clock::now();
-  auto got = coordinator.value().QueryJoinable(corpus.join_queries[1], 5);
+  auto got = JoinBatchOfOne(coordinator.value(), corpus.join_queries[1], 5);
   const auto elapsed = std::chrono::steady_clock::now() - start;
   ASSERT_FALSE(got.ok());
   EXPECT_NE(got.status().message().find("shard 1"), std::string::npos)
@@ -423,6 +518,62 @@ TEST(DistributedFaultTest, MixedVersionHandshakeIsRejectedNamingTheShard) {
   EXPECT_NE(coordinator.status().message().find("protocol version"),
             std::string::npos)
       << coordinator.status().ToString();
+}
+
+// A shard that fails partway through a batch — after it served the
+// batch's first SHARD_QUERY frame — fails the whole batch with a Status
+// naming that shard and its socket: never a partial ranking.
+TEST(DistributedFaultTest, ShardFailingMidBatchFailsTheWholeBatch) {
+  Corpus corpus = MakeCorpus(40, 81);
+  ShardedLakeIndex reference = BuildIndex(corpus, 2);
+  WorkerFleet fleet;
+  fleet.Start(reference);
+
+  // Shard 1 sits behind a proxy that forwards the handshake and the first
+  // SHARD_QUERY frame to the real worker, then fails every later frame.
+  LakeClient upstream;
+  ASSERT_TRUE(upstream.Connect(fleet.sockets()[1]).ok());
+  std::atomic<int> shard_queries{0};
+  FakeWorker flaky([&](const Request& request, Response* response) {
+    response->version = RequiredVersion(request.op);
+    response->op = request.op;
+    if (request.op == Opcode::kHealth) {
+      response->health = upstream.Health().value();
+    } else if (request.op == Opcode::kShardTables) {
+      response->ids = upstream.ShardTables().value();
+    } else if (request.op == Opcode::kShardQuery &&
+               shard_queries.fetch_add(1) == 0) {
+      response->hits = upstream.ShardQuery(request.columns, request.k).value();
+    } else {
+      *response = Response::Error(request.op,
+                                  Status::Internal("injected shard failure"));
+    }
+    return true;
+  });
+
+  // A small frame ceiling spreads each batch over several frames per shard.
+  DistributedOptions options;
+  options.max_frame_bytes = 2048;
+  auto coordinator = DistributedLakeIndex::Connect(
+      fleet.manifest_path(), {fleet.sockets()[0], flaky.socket_path()},
+      options);
+  ASSERT_TRUE(coordinator.ok()) << coordinator.status().ToString();
+
+  auto join = coordinator.value().QueryJoinableBatch(corpus.join_queries, 7);
+  ASSERT_FALSE(join.ok());
+  EXPECT_GE(shard_queries.load(), 2) << "the failure was not mid-batch";
+  auto union_batch =
+      coordinator.value().QueryUnionableBatch(corpus.union_queries, 7);
+  ASSERT_FALSE(union_batch.ok());
+  for (const Status& status : {join.status(), union_batch.status()}) {
+    EXPECT_NE(status.message().find("shard 1"), std::string::npos)
+        << status.ToString();
+    EXPECT_NE(status.message().find(flaky.socket_path()), std::string::npos)
+        << status.ToString();
+    EXPECT_NE(status.message().find("injected shard failure"),
+              std::string::npos)
+        << status.ToString();
+  }
 }
 
 TEST(DistributedFaultTest, SilentWorkerTimesOutInsteadOfHangingForever) {

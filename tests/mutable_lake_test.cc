@@ -674,7 +674,7 @@ TEST(MutableLakeServerTest, DistributedCoordinatorMutationsMirrorInProcess) {
   EXPECT_EQ(coordinator.Churn().pending_delta_tables, 6u);
   EXPECT_EQ(coordinator.Churn().pending_tombstones, 3u);
   for (const auto& q : corpus.join_queries) {
-    auto ranked = coordinator.QueryJoinable(q, 5);
+    auto ranked = testutil::JoinBatchOfOne(coordinator, q, 5);
     ASSERT_TRUE(ranked.ok());
     EXPECT_EQ(ranked.value(), twin.QueryJoinable(q, 5));
   }
@@ -688,12 +688,12 @@ TEST(MutableLakeServerTest, DistributedCoordinatorMutationsMirrorInProcess) {
     EXPECT_EQ(coordinator.table_id(h), twin.table_id(h));
   }
   for (const auto& q : corpus.join_queries) {
-    auto ranked = coordinator.QueryJoinable(q, 5);
+    auto ranked = testutil::JoinBatchOfOne(coordinator, q, 5);
     ASSERT_TRUE(ranked.ok());
     EXPECT_EQ(ranked.value(), twin.QueryJoinable(q, 5));
   }
   for (const auto& q : corpus.union_queries) {
-    auto ranked = coordinator.QueryUnionable(q, 5);
+    auto ranked = testutil::UnionBatchOfOne(coordinator, q, 5);
     ASSERT_TRUE(ranked.ok());
     EXPECT_EQ(ranked.value(), twin.QueryUnionable(q, 5));
   }
@@ -739,7 +739,7 @@ TEST(MutableLakeServerTest, CoordinatorRefusesMutationsOnChurnedManifest) {
   EXPECT_EQ(connected.value().Churn().pending_tombstones, 1u);
   // Queries still serve, tombstones filtered worker-side.
   for (const auto& q : corpus.join_queries) {
-    auto ranked = connected.value().QueryJoinable(q, 20);
+    auto ranked = testutil::JoinBatchOfOne(connected.value(), q, 20);
     ASSERT_TRUE(ranked.ok());
     for (const auto& id : ranked.value()) EXPECT_NE(id, "table_1");
   }

@@ -24,6 +24,17 @@ using testutil::MakeCorpus;
 using testutil::RandomVec;
 using testutil::RecallAtK;
 
+// Ranked handles to ids, truncated to `k`.
+std::vector<std::string> RankedTableIds(const std::vector<std::string>& ids,
+                                        const std::vector<size_t>& handles,
+                                        size_t k) {
+  std::vector<std::string> out;
+  for (size_t i = 0; i < std::min(k, handles.size()); ++i) {
+    out.push_back(ids[handles[i]]);
+  }
+  return out;
+}
+
 // The unsharded reference: one ColumnEmbeddingIndex over the whole corpus,
 // one batched search per query and the Fig 6 statics on top — no scatter,
 // no merge, no lake lifecycle.

@@ -1,6 +1,7 @@
 // Shared helpers for the test suites: seeded random vector/table
 // generators, a temp-file RAII that also sweeps shard side files, and the
-// tie-aware recall@k used by the ANN acceptance bars. Header-only on
+// tie-aware recall@k used by the ANN acceptance bars, and single queries
+// through a distributed coordinator's batch API. Header-only on
 // purpose — the test binaries are built one .cc at a time.
 #ifndef TSFM_TESTS_TEST_UTIL_H_
 #define TSFM_TESTS_TEST_UTIL_H_
@@ -13,9 +14,11 @@
 #include <filesystem>
 #include <string>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "util/random.h"
+#include "util/status.h"
 
 namespace tsfm::testutil {
 
@@ -102,6 +105,26 @@ inline double RecallAtK(const std::vector<std::string>& gold,
   const size_t take = std::min(k, ranked.size());
   for (size_t i = 0; i < take; ++i) hits += gold_set.count(ranked[i]);
   return k == 0 ? 1.0 : static_cast<double>(hits) / static_cast<double>(k);
+}
+
+/// One join query through a lake whose batch entry points return Result
+/// (server::DistributedLakeIndex): a batch of one.
+template <typename Lake>
+Result<std::vector<std::string>> JoinBatchOfOne(const Lake& lake,
+                                                const std::vector<float>& query,
+                                                size_t k) {
+  auto ranked = lake.QueryJoinableBatch({query}, k);
+  if (!ranked.ok()) return ranked.status();
+  return std::move(ranked.value()[0]);
+}
+
+/// One union query through a Result-returning batch API: a batch of one.
+template <typename Lake>
+Result<std::vector<std::string>> UnionBatchOfOne(
+    const Lake& lake, const std::vector<std::vector<float>>& query, size_t k) {
+  auto ranked = lake.QueryUnionableBatch({query}, k);
+  if (!ranked.ok()) return ranked.status();
+  return std::move(ranked.value()[0]);
 }
 
 }  // namespace tsfm::testutil

@@ -5,6 +5,8 @@
 //   * queries racing live ingest, deletes and Compact on a
 //     ShardedLakeIndex (epoch pinning: a query must always see a
 //     consistent shard set + handle maps),
+//   * SHARD_TABLES (LakeBackend::TableIds) racing the same churn on the
+//     in-process and the distributed backend (one epoch per snapshot),
 //   * LakeServer::Stop() racing a client burst (drain semantics), and
 //   * QueryBatcher::Stop() racing submitters (accepted-before-Stop
 //     queries all get answers).
@@ -15,14 +17,17 @@
 // EXPECTs only pin liveness and the never-partial-result contracts.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "search/lake_manifest.h"
 #include "search/sharded_lake_index.h"
 #include "server/backend.h"
+#include "server/distributed_lake_index.h"
 #include "server/batcher.h"
 #include "server/lake_client.h"
 #include "server/lake_server.h"
@@ -36,6 +41,7 @@ using search::IndexOptions;
 using search::ShardedLakeIndex;
 using testutil::Corpus;
 using testutil::MakeCorpus;
+using testutil::TempFile;
 
 constexpr size_t kDim = 8;
 
@@ -108,6 +114,91 @@ TEST(TsanStressTest, QueriesRaceIngestDeletesAndCompact) {
   ASSERT_TRUE(index.Compact().ok());
   EXPECT_FALSE(index.churned());
   EXPECT_EQ(index.num_tables(), index.num_live_tables());
+}
+
+// SHARD_TABLES racing COMPACT: every TableIds() snapshot must be the id
+// list of exactly one epoch — never a mix of two, and never a read past a
+// handle space that a compaction just shrank. The mutator records every
+// epoch it creates; the reader's snapshots must all be among them.
+void ExpectTableIdsSnapshotOneEpoch(LakeBackend* backend,
+                                    const Corpus& corpus) {
+  ThreadPool pool(2);
+  std::vector<std::vector<std::string>> epochs = {backend->TableIds().value()};
+  std::vector<std::vector<std::string>> snapshots;
+  std::atomic<bool> started{false};
+  std::atomic<bool> done{false};
+  std::thread reader([&] {
+    // Distinct consecutive snapshots only, so memory stays bounded.
+    while (!done.load()) {
+      auto ids = backend->TableIds();
+      started.store(true);
+      if (!ids.ok()) {
+        ADD_FAILURE() << ids.status().ToString();
+        return;
+      }
+      if (snapshots.empty() || snapshots.back() != ids.value()) {
+        snapshots.push_back(std::move(ids).value());
+      }
+    }
+  });
+  while (!started.load()) std::this_thread::yield();
+  constexpr int kCycles = 10;
+  for (int cycle = 0; cycle < kCycles; ++cycle) {
+    for (int i = 0; i < 3; ++i) {
+      const std::string id =
+          "cycle_" + std::to_string(cycle) + "_" + std::to_string(i);
+      const auto& columns = corpus.tables[(cycle + i) % corpus.tables.size()];
+      ASSERT_TRUE(backend->AddTable(id, columns).ok());
+      epochs.push_back(backend->TableIds().value());
+    }
+    // Tombstones leave the id list alone; the compaction drops them.
+    ASSERT_TRUE(
+        backend->RemoveTable("cycle_" + std::to_string(cycle) + "_1").ok());
+    ASSERT_TRUE(backend->RemoveTable(corpus.ids[cycle]).ok());
+    ASSERT_TRUE(backend->Compact(&pool).ok());
+    epochs.push_back(backend->TableIds().value());
+  }
+  done.store(true);
+  reader.join();
+  EXPECT_FALSE(snapshots.empty());
+  for (const auto& snapshot : snapshots) {
+    EXPECT_NE(std::find(epochs.begin(), epochs.end(), snapshot), epochs.end())
+        << "a TableIds() snapshot of " << snapshot.size()
+        << " ids matches no epoch";
+  }
+}
+
+TEST(TsanStressTest, InProcessTableIdsRaceAddRemoveAndCompact) {
+  const Corpus corpus = MakeCorpus(30, kDim, 41);
+  InProcessBackend backend(BuildIndex(corpus, /*shards=*/3));
+  ExpectTableIdsSnapshotOneEpoch(&backend, corpus);
+}
+
+TEST(TsanStressTest, DistributedTableIdsRaceAddRemoveAndCompact) {
+  const Corpus corpus = MakeCorpus(30, kDim, 43);
+  TempFile manifest("tsan_stress_table_ids.laks");
+  ASSERT_TRUE(BuildIndex(corpus, /*shards=*/2).Save(manifest.path()).ok());
+  // In-process workers, one LakeServer per shard file.
+  std::vector<std::unique_ptr<LakeServer>> workers;
+  std::vector<std::string> sockets;
+  for (size_t s = 0; s < 2; ++s) {
+    auto shard = ShardedLakeIndex::Load(
+        search::LakeShardFileName(manifest.path(), s));
+    ASSERT_TRUE(shard.ok()) << shard.status().ToString();
+    workers.push_back(std::make_unique<LakeServer>(std::move(shard).value()));
+    sockets.push_back(UniqueSocketPath());
+    ASSERT_TRUE(workers.back()->Start(sockets.back()).ok());
+  }
+  auto coordinator = DistributedLakeIndex::Connect(manifest.path(), sockets);
+  ASSERT_TRUE(coordinator.ok()) << coordinator.status().ToString();
+  {
+    DistributedBackend backend(std::move(coordinator).value());
+    ExpectTableIdsSnapshotOneEpoch(&backend, corpus);
+  }
+  for (size_t s = 0; s < workers.size(); ++s) {
+    workers[s]->Stop();
+    ::unlink(sockets[s].c_str());
+  }
 }
 
 // Stop() racing a client burst: accepted requests drain (each client sees
