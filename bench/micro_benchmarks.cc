@@ -119,18 +119,25 @@ void BM_MinHashJaccard(benchmark::State& state) {
 }
 BENCHMARK(BM_MinHashJaccard);
 
+// Args: rows, num_perm. {32, 16} is the lake_search / e2ebench table shape.
 void BM_TableSketch(benchmark::State& state) {
   lakebench::DomainCatalog catalog(1, 100);
   Rng rng(2);
   Table table =
       lakebench::GenerateDomainTable(catalog.domain(0), "t", state.range(0), &rng);
+  SketchOptions options;
+  options.num_perm = static_cast<size_t>(state.range(1));
   for (auto _ : state) {
-    TableSketch sketch = BuildTableSketch(table);
+    TableSketch sketch = BuildTableSketch(table, options);
     benchmark::DoNotOptimize(sketch.columns.data());
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_TableSketch)->Arg(64)->Arg(256)->Arg(1024);
+BENCHMARK(BM_TableSketch)
+    ->Args({32, 16})
+    ->Args({64, 32})
+    ->Args({256, 32})
+    ->Args({1024, 32});
 
 void BM_Tokenizer(benchmark::State& state) {
   text::Vocab vocab = text::Vocab::Build(

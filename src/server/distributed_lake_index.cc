@@ -360,10 +360,13 @@ Result<TableRanker::HitLists> DistributedLakeIndex::State::SearchShard(
       std::clamp<size_t>(budget / per_column, 1, kMaxMessageColumns);
   TableRanker::HitLists out;
   out.reserve(columns.size());
+  // A batch that fits one frame goes as is; only a split batch is sliced.
+  std::vector<std::vector<float>> slice;
   for (size_t begin = 0; begin < columns.size(); begin += per_frame) {
-    const std::vector<std::vector<float>> frame(
-        columns.begin() + begin,
-        columns.begin() + std::min(columns.size(), begin + per_frame));
+    const size_t end = std::min(columns.size(), begin + per_frame);
+    const bool whole = begin == 0 && end == columns.size();
+    if (!whole) slice.assign(columns.begin() + begin, columns.begin() + end);
+    const std::vector<std::vector<float>>& frame = whole ? columns : slice;
     auto lists = CallShard(
         s, [&](LakeClient& client) { return client.ShardQuery(frame, m); });
     if (!lists.ok()) return lists.status();

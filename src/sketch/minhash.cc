@@ -1,5 +1,6 @@
 #include "sketch/minhash.h"
 
+#include <algorithm>
 #include <limits>
 
 #include "util/hash.h"
@@ -18,8 +19,8 @@ void MinHash::Update(std::string_view element) {
                   Murmur3_32(element, 0x85ebca6b);
   for (size_t i = 0; i < signature_.size(); ++i) {
     uint64_t h = SplitMix64(base ^ (0x27d4eb2f165667c5ULL * (i + 1)));
-    uint32_t h32 = static_cast<uint32_t>(h >> 32);
-    if (h32 < signature_[i]) signature_[i] = h32;
+    // Branch-free: on a young signature whether a slot moves is a coin flip.
+    signature_[i] = std::min(signature_[i], static_cast<uint32_t>(h >> 32));
   }
   empty_ = false;
 }

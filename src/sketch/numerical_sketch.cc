@@ -10,7 +10,10 @@ float CompressStat(double v) {
 }
 
 NumericalSketch MakeNumericalSketch(const Column& column) {
-  ColumnStats stats = ComputeColumnStats(column);
+  return MakeNumericalSketch(ComputeColumnStats(column));
+}
+
+NumericalSketch MakeNumericalSketch(const ColumnStats& stats) {
   NumericalSketch sketch;
   sketch.values[0] = CompressStat(stats.unique_fraction);
   sketch.values[1] = CompressStat(stats.nan_fraction);

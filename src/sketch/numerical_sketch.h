@@ -33,6 +33,9 @@ struct NumericalSketch {
 /// Builds the numerical sketch of `column` from its statistics.
 NumericalSketch MakeNumericalSketch(const Column& column);
 
+/// Builds the numerical sketch from already computed statistics.
+NumericalSketch MakeNumericalSketch(const ColumnStats& stats);
+
 /// \brief Squashes unbounded numeric stats into a stable range.
 ///
 /// Raw means/extremes can span many orders of magnitude across a lake, which

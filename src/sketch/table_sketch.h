@@ -25,8 +25,8 @@ struct SketchOptions {
 struct ColumnSketch {
   std::string name;
   ColumnType type = ColumnType::kString;
-  MinHash cell_minhash;       ///< over the set of cell value strings
-  MinHash word_minhash;       ///< over the set of words (string columns only)
+  MinHash cell_minhash;       ///< over the set of distinct cell strings
+  MinHash word_minhash;       ///< over the set of lower-cased words (string columns only)
   NumericalSketch numerical;  ///< the 16-slot statistics vector
 
   ColumnSketch() : cell_minhash(0), word_minhash(0) {}
@@ -56,15 +56,21 @@ struct TableSketch {
   TableSketch() : content_snapshot(0) {}
 };
 
-/// Builds every sketch for `table`. Types must already be inferred (or call
-/// table.InferTypes() first); this function does not mutate the table.
+/// \brief Builds every sketch for `table` in one walk per column.
+///
+/// Types must already be inferred (or call table.InferTypes() first); this
+/// function does not mutate the table. Per column:
+///   - cell_minhash folds the first `max_cells` distinct non-null cells
+///     (DistinctCells' set), keyed by the untrimmed cell;
+///   - word_minhash (string columns) folds every lower-cased
+///     whitespace-separated word of the non-null cells among the first
+///     `max_cells` cells, null cells counting toward that budget;
+///   - numerical is MakeNumericalSketch(column).
 TableSketch BuildTableSketch(const Table& table, const SketchOptions& options = {});
 
-/// Extracts the distinct non-null cell values of a column (bounded).
+/// Extracts the distinct non-null cell values of a column (bounded): the
+/// set a column's cell MinHash is built over.
 std::vector<std::string> DistinctCells(const Column& column, size_t max_cells = 10000);
-
-/// Extracts the distinct lower-cased words across a column's cells.
-std::vector<std::string> DistinctWords(const Column& column, size_t max_cells = 10000);
 
 }  // namespace tsfm
 

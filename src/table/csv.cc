@@ -96,7 +96,7 @@ void AppendQuoted(std::string* out, const std::string& s) {
 Result<Table> ParseCsv(std::string_view text, char delim) {
   auto records_result = ParseRecords(text, delim);
   if (!records_result.ok()) return records_result.status();
-  const auto& records = records_result.value();
+  auto& records = records_result.value();
   if (records.empty()) return Status::ParseError("empty CSV input");
 
   const auto& header = records[0];
@@ -105,14 +105,15 @@ Result<Table> ParseCsv(std::string_view text, char delim) {
     table.AddColumn(name, {});
   }
   for (size_t r = 1; r < records.size(); ++r) {
-    const auto& row = records[r];
+    auto& row = records[r];
     if (row.size() > header.size()) {
       return Status::ParseError("row " + std::to_string(r) + " has " +
                                 std::to_string(row.size()) + " fields, header has " +
                                 std::to_string(header.size()));
     }
     for (size_t c = 0; c < header.size(); ++c) {
-      table.column(c).cells.push_back(c < row.size() ? row[c] : std::string());
+      table.column(c).cells.push_back(c < row.size() ? std::move(row[c])
+                                                     : std::string());
     }
   }
   table.InferTypes();

@@ -29,6 +29,15 @@ struct ColumnStats {
 /// Computes statistics for `column` (its `type` decides numeric handling).
 ColumnStats ComputeColumnStats(const Column& column);
 
+/// \brief Statistics from the tallies of one walk over a column.
+///
+/// `rows` cells of which `nulls` are null; `distinct` distinct non-null
+/// cells; `width_sum` bytes over the non-null cells; `numeric` the parsed
+/// values of the non-null cells in cell order (sorted in place). Both
+/// ComputeColumnStats and the table sketcher finish through this.
+ColumnStats SummarizeColumn(size_t rows, size_t distinct, size_t nulls,
+                            double width_sum, std::vector<double>* numeric);
+
 /// Linear-interpolated percentile of sorted data, q in [0, 1].
 double Percentile(const std::vector<double>& sorted, double q);
 

@@ -34,8 +34,9 @@ ColumnType InferColumnType(const std::vector<std::string>& cells, size_t probe) 
     if (seen >= probe) break;
     if (IsNullToken(cell)) continue;
     ++seen;
-    if (ParseDateToDays(cell) && !ParseInt(cell)) ++as_date;
-    if (ParseInt(cell)) ++as_int;
+    const bool is_int = ParseInt(cell).has_value();
+    if (!is_int && ParseDateToDays(cell)) ++as_date;
+    if (is_int) ++as_int;
     if (ParseFloat(cell)) ++as_float;
   }
   if (seen == 0) return ColumnType::kString;

@@ -3,6 +3,8 @@
 #include <cctype>
 #include <charconv>
 #include <cstdlib>
+#include <cstring>
+#include <string>
 
 #include "util/string_util.h"
 
@@ -34,12 +36,30 @@ std::optional<int64_t> ParseInt(std::string_view s) {
 std::optional<double> ParseFloat(std::string_view s) {
   s = Trim(s);
   if (s.empty()) return std::nullopt;
-  // std::from_chars for double is not universally available; use strtod with
-  // a bounded copy.
-  std::string buf(s);
+  // A plain decimal takes std::from_chars, which rounds exactly as strtod
+  // does. Whatever it does not consume whole (hex floats, a leading '+',
+  // inf/nan, an exponent out of range) goes to strtod.
+  const char lead = s[0] == '-' && s.size() > 1 ? s[1] : s[0];
+  if (std::isdigit(static_cast<unsigned char>(lead)) || lead == '.') {
+    double value = 0.0;
+    auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), value);
+    if (ec == std::errc() && ptr == s.data() + s.size()) return value;
+  }
+  // strtod needs a NUL-terminated string: copy ordinary cells to the stack
+  // and only long ones to the heap.
+  char stack[64];
+  std::string heap;
+  const char* begin = stack;
+  if (s.size() < sizeof(stack)) {
+    std::memcpy(stack, s.data(), s.size());
+    stack[s.size()] = '\0';
+  } else {
+    heap.assign(s);
+    begin = heap.c_str();
+  }
   char* end = nullptr;
-  double value = std::strtod(buf.c_str(), &end);
-  if (end != buf.c_str() + buf.size()) return std::nullopt;
+  double value = std::strtod(begin, &end);
+  if (end != begin + s.size()) return std::nullopt;
   return value;
 }
 
@@ -69,56 +89,71 @@ bool ValidDate(int y, int m, int d) {
   return y >= 1 && y <= 9999 && m >= 1 && m <= 12 && d >= 1 && d <= DaysInMonth(y, m);
 }
 
+// Splits `s` at `delim` into exactly three fields; false for any other count.
+bool SplitThree(std::string_view s, char delim, std::string_view parts[3]) {
+  const size_t a = s.find(delim);
+  if (a == std::string_view::npos) return false;
+  const size_t b = s.find(delim, a + 1);
+  if (b == std::string_view::npos ||
+      s.find(delim, b + 1) != std::string_view::npos) {
+    return false;
+  }
+  parts[0] = s.substr(0, a);
+  parts[1] = s.substr(a + 1, b - a - 1);
+  parts[2] = s.substr(b + 1);
+  return true;
+}
+
+// Value of a short all-digit string (at most ten bytes reach here).
+int DigitsValue(std::string_view digits) {
+  int value = 0;
+  for (char c : digits) value = value * 10 + (c - '0');
+  return value;
+}
+
+std::optional<int64_t> DateFromParts(const std::string_view parts[3],
+                                     bool year_first) {
+  for (int i = 0; i < 3; ++i) {
+    if (!IsDigits(parts[i])) return std::nullopt;
+  }
+  const int a = DigitsValue(parts[0]);
+  const int b = DigitsValue(parts[1]);
+  const int c = DigitsValue(parts[2]);
+  int y, m, d;
+  if (year_first) {
+    y = a;
+    m = b;
+    d = c;
+  } else {
+    d = a;
+    m = b;
+    y = c;
+    if (!ValidDate(y, m, d) && ValidDate(c, a, b)) {
+      // Fall back to MM-DD-YYYY.
+      y = c;
+      m = a;
+      d = b;
+    }
+  }
+  if (!ValidDate(y, m, d)) return std::nullopt;
+  return CivilToDays(y, m, d);
+}
+
 }  // namespace
 
 std::optional<int64_t> ParseDateToDays(std::string_view s) {
   s = Trim(s);
   if (s.empty() || s.size() > 10) return std::nullopt;
-
-  auto try_parts = [](const std::vector<std::string>& parts,
-                      bool year_first) -> std::optional<int64_t> {
-    if (parts.size() != 3) return std::nullopt;
-    for (const auto& p : parts) {
-      if (!IsDigits(p)) return std::nullopt;
-    }
-    int a = std::atoi(parts[0].c_str());
-    int b = std::atoi(parts[1].c_str());
-    int c = std::atoi(parts[2].c_str());
-    int y, m, d;
-    if (year_first) {
-      y = a;
-      m = b;
-      d = c;
-    } else {
-      d = a;
-      m = b;
-      y = c;
-      if (!ValidDate(y, m, d) && ValidDate(c, a, b)) {
-        // Fall back to MM-DD-YYYY.
-        y = c;
-        m = a;
-        d = b;
-      }
-    }
-    if (!ValidDate(y, m, d)) return std::nullopt;
-    return CivilToDays(y, m, d);
-  };
-
-  if (s.find('-') != std::string_view::npos) {
-    auto parts = Split(s, '-');
-    if (parts.size() == 3 && parts[0].size() == 4) return try_parts(parts, true);
-    if (parts.size() == 3) return try_parts(parts, false);
-    return std::nullopt;
-  }
-  if (s.find('/') != std::string_view::npos) {
-    auto parts = Split(s, '/');
-    if (parts.size() == 3 && parts[0].size() == 4) return try_parts(parts, true);
-    if (parts.size() == 3) return try_parts(parts, false);
-    return std::nullopt;
+  // The first separator present decides the format.
+  for (char delim : {'-', '/'}) {
+    if (s.find(delim) == std::string_view::npos) continue;
+    std::string_view parts[3];
+    if (!SplitThree(s, delim, parts)) return std::nullopt;
+    return DateFromParts(parts, /*year_first=*/parts[0].size() == 4);
   }
   // Bare year.
   if (IsDigits(s) && s.size() == 4) {
-    int y = std::atoi(std::string(s).c_str());
+    const int y = DigitsValue(s);
     if (y >= 1000 && y <= 2999) return CivilToDays(y, 1, 1);
   }
   return std::nullopt;
@@ -127,7 +162,13 @@ std::optional<int64_t> ParseDateToDays(std::string_view s) {
 bool IsNullToken(std::string_view s) {
   s = Trim(s);
   if (s.empty()) return true;
-  std::string lower = ToLower(s);
+  // Every null spelling fits in four bytes; lower-case onto the stack.
+  if (s.size() > 4) return false;
+  char buf[4];
+  for (size_t i = 0; i < s.size(); ++i) {
+    buf[i] = static_cast<char>(std::tolower(static_cast<unsigned char>(s[i])));
+  }
+  const std::string_view lower(buf, s.size());
   return lower == "na" || lower == "nan" || lower == "null" || lower == "none" ||
          lower == "n/a" || lower == "-";
 }

@@ -18,7 +18,13 @@ uint32_t Murmur3_32(std::string_view data, uint32_t seed);
 uint64_t Fnv1a64(std::string_view data);
 
 /// SplitMix64 finalizer — turns a 64-bit value into a well-mixed 64-bit hash.
-uint64_t SplitMix64(uint64_t x);
+/// Inline: MinHash::Update calls it once per signature slot.
+inline uint64_t SplitMix64(uint64_t x) {
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
 
 /// Combines two hash values (boost::hash_combine style, 64-bit).
 uint64_t HashCombine(uint64_t a, uint64_t b);

@@ -8,17 +8,8 @@
 
 namespace tsfm {
 
-/// Splits `s` on `delim`, keeping empty fields.
-std::vector<std::string> Split(std::string_view s, char delim);
-
-/// Splits `s` on runs of ASCII whitespace, dropping empty fields.
-std::vector<std::string> SplitWhitespace(std::string_view s);
-
 /// Joins `parts` with `sep`.
 std::string Join(const std::vector<std::string>& parts, std::string_view sep);
-
-/// ASCII lower-case copy.
-std::string ToLower(std::string_view s);
 
 /// Strips leading/trailing ASCII whitespace.
 std::string_view Trim(std::string_view s);

@@ -1,14 +1,20 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cctype>
 #include <cmath>
+#include <cstring>
 
+#include "lakebench/datagen.h"
 #include "sketch/content_snapshot.h"
 #include "sketch/minhash.h"
 #include "sketch/minhash_lsh.h"
 #include "sketch/numerical_sketch.h"
 #include "sketch/simhash.h"
 #include "sketch/table_sketch.h"
+#include "table/csv.h"
 #include "util/random.h"
+#include "sketch_oracle.h"
 
 namespace tsfm {
 namespace {
@@ -217,12 +223,266 @@ TEST(TableSketchTest, DistinctCellsSkipsNullsAndDupes) {
   EXPECT_EQ(cells.size(), 2u);
 }
 
-TEST(TableSketchTest, DistinctWordsLowercasesAndSplits) {
-  Column col;
-  col.cells = {"New York", "new jersey"};
-  auto words = DistinctWords(col);
-  // {new, york, jersey}
-  EXPECT_EQ(words.size(), 3u);
+TEST(TableSketchTest, WordSignatureLowercasesAndSplits) {
+  Table t("t", "d");
+  t.AddColumn("city", {"New York", "new jersey", "NEW\tyork"});
+  TableSketch s = BuildTableSketch(t);
+  EXPECT_EQ(s.columns[0].word_minhash.signature(),
+            MinHashOfSet({"new", "york", "jersey"}).signature());
+}
+
+TEST(TableSketchTest, WordBudgetCountsNullCells) {
+  // max_cells 2 covers cells 0 and 1: the null cell spends one of them.
+  Table t("t", "d");
+  t.AddColumn("w", {"NA", "alpha", "beta"});
+  SketchOptions opt;
+  opt.max_cells = 2;
+  TableSketch s = BuildTableSketch(t, opt);
+  EXPECT_EQ(s.columns[0].word_minhash.signature(),
+            MinHashOfSet({"alpha"}, opt.num_perm).signature());
+  // The cell signature's cap counts distinct non-null cells instead.
+  EXPECT_EQ(s.columns[0].cell_minhash.signature(),
+            MinHashOfSet({"alpha", "beta"}, opt.num_perm).signature());
+}
+
+// ------------------------------------------- One pass vs three-pass oracle
+
+uint32_t FloatBits(float f) {
+  uint32_t bits;
+  std::memcpy(&bits, &f, sizeof(bits));
+  return bits;
+}
+
+testing::AssertionResult SameMinHash(const MinHash& got, const MinHash& want) {
+  if (got.empty() != want.empty()) {
+    return testing::AssertionFailure() << "empty() " << got.empty() << " vs "
+                                       << want.empty();
+  }
+  if (got.signature() != want.signature()) {
+    return testing::AssertionFailure() << "signatures differ";
+  }
+  return testing::AssertionSuccess();
+}
+
+// Every signature slot, every empty() flag and every numerical-sketch
+// float (by bit pattern, so -0.0 and NaN payloads count).
+testing::AssertionResult SameSketch(const TableSketch& got, const TableSketch& want) {
+  if (got.table_id != want.table_id || got.description != want.description) {
+    return testing::AssertionFailure() << "table id or description";
+  }
+  if (auto r = SameMinHash(got.content_snapshot, want.content_snapshot); !r) {
+    return testing::AssertionFailure() << "content snapshot: " << r.message();
+  }
+  if (got.columns.size() != want.columns.size()) {
+    return testing::AssertionFailure() << "column count";
+  }
+  for (size_t c = 0; c < got.columns.size(); ++c) {
+    const ColumnSketch& g = got.columns[c];
+    const ColumnSketch& w = want.columns[c];
+    if (g.name != w.name || g.type != w.type) {
+      return testing::AssertionFailure() << "column " << c << ": name or type";
+    }
+    if (auto r = SameMinHash(g.cell_minhash, w.cell_minhash); !r) {
+      return testing::AssertionFailure()
+             << "column " << c << " cell signature: " << r.message();
+    }
+    if (auto r = SameMinHash(g.word_minhash, w.word_minhash); !r) {
+      return testing::AssertionFailure()
+             << "column " << c << " word signature: " << r.message();
+    }
+    for (size_t i = 0; i < kNumericalSketchDim; ++i) {
+      if (FloatBits(g.numerical.values[i]) != FloatBits(w.numerical.values[i])) {
+        return testing::AssertionFailure()
+               << "column " << c << " numerical slot " << i << ": "
+               << g.numerical.values[i] << " vs " << w.numerical.values[i];
+      }
+    }
+  }
+  return testing::AssertionSuccess();
+}
+
+testing::AssertionResult MatchesOracle(const Table& table,
+                                       const SketchOptions& options) {
+  auto r = SameSketch(BuildTableSketch(table, options),
+                      oracle::BuildTableSketch(table, options));
+  if (!r) {
+    return r << " (table " << table.id() << ", num_perm " << options.num_perm
+             << ", max_cells " << options.max_cells << ", snapshot_rows "
+             << options.snapshot_rows << ")";
+  }
+  return r;
+}
+
+SketchOptions Options(size_t num_perm, size_t max_cells, size_t snapshot_rows) {
+  SketchOptions options;
+  options.num_perm = num_perm;
+  options.max_cells = max_cells;
+  options.snapshot_rows = snapshot_rows;
+  return options;
+}
+
+TEST(SketchOracleTest, LakebenchTablesMatchThreePass) {
+  lakebench::DomainCatalog catalog(7, 400);
+  Rng rng(7);
+  size_t columns = 0;
+  for (size_t i = 0; i < 240; ++i) {
+    const auto& domain =
+        catalog.domain(rng.Uniform(static_cast<uint32_t>(catalog.size())));
+    // Mostly the 32-row tables lake_search builds, some ragged sizes.
+    const size_t rows = i % 4 == 0 ? rng.Uniform(160) : 32;
+    Table table = lakebench::GenerateDomainTable(
+        domain, "lake_" + std::to_string(i), rows, &rng);
+    if (i % 2 == 1) {
+      // The CSV path a query takes: write, parse back, infer.
+      auto parsed = ParseCsv(WriteCsv(table));
+      ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+      table = std::move(parsed).value();
+    }
+    table.InferTypes();
+    columns += table.num_columns();
+    ASSERT_TRUE(MatchesOracle(table, Options(16, 10000, 256)));
+    ASSERT_TRUE(MatchesOracle(table, Options(32, 5, 8)));
+    ASSERT_TRUE(MatchesOracle(table, Options(8, 1, 1)));
+  }
+  EXPECT_GT(columns, 1000u);
+}
+
+// Every case spelling of each null token.
+std::vector<std::string> NullSpellings() {
+  std::vector<std::string> out;
+  for (std::string token : {"na", "nan", "null", "none", "n/a", "-"}) {
+    for (uint32_t mask = 0; mask < (1u << token.size()); ++mask) {
+      std::string spelled = token;
+      for (size_t i = 0; i < token.size(); ++i) {
+        if (mask & (1u << i)) {
+          spelled[i] = static_cast<char>(
+              std::toupper(static_cast<unsigned char>(spelled[i])));
+        }
+      }
+      if (std::find(out.begin(), out.end(), spelled) == out.end()) {
+        out.push_back(spelled);
+      }
+    }
+  }
+  return out;
+}
+
+const std::vector<std::string>& WhitespaceRuns() {
+  static const std::vector<std::string> runs = {
+      "", " ", "\t", "\r\n", "\v\f", " \t\r\v\f ", "\f\f\v"};
+  return runs;
+}
+
+// Hand-written hostile columns, each sketched under every type so the
+// numeric parse sees garbage too.
+std::vector<std::vector<std::string>> HostileColumns() {
+  std::vector<std::vector<std::string>> cols;
+  std::vector<std::string> nulls;
+  const auto& ws = WhitespaceRuns();
+  size_t w = 0;
+  for (const auto& token : NullSpellings()) {
+    nulls.push_back(ws[w % ws.size()] + token + ws[(w + 3) % ws.size()]);
+    ++w;
+  }
+  nulls.push_back("");
+  nulls.push_back(" \t\r\v\f\n ");
+  cols.push_back(nulls);  // all null
+  cols.push_back({"nulls", "nonee", "n/", "--", "n a", "- -", "N/A.", "nan!",
+                  "NA", "", "nul", "non"});
+  cols.push_back({"x", " x", "x ", "\tx\n", "x\v", "X", "x", "", " ",
+                  "New York", "new\tyork", "  NEW   york ", "a\fb", "a\rb",
+                  "new york", "New  York"});
+  cols.push_back({"\xc3\x9c" "ber", "\xc3\xbc" "ber", "\xff", "\x80" "abc",
+                  "\xc3\x80\xc3\x89 \xc3\x8e", "caf\xc3\xa9 CAF\xc3\x89", "\xa0x\xa0"});
+  cols.push_back({"0", "-0", "+5", " 7 ", "007", "9223372036854775807",
+                  "9223372036854775808", "-9223372036854775809", "1e3",
+                  "0x1A", "1.5", "inf", "-inf", "NaN", "abc", "", "12a",
+                  "1,000"});
+  cols.push_back({"3.5", ".5", "5.", "-0.0", "1e308", "1e309", "-1e309",
+                  "4.9e-324", "1e-400", "0x1p-3", "+.5", "INF", "Infinity",
+                  "\t2.25\f", "1.5e", "--1"});
+  cols.push_back({"-nan", "1", "2", "nan(7)", "3"});  // NaN in a short column
+  cols.push_back({"2020-02-29", "2020-02-30", "2021-02-29", "02/03/2020",
+                  "12-31-1999", "31-12-1999", "13/13/2020", "1999", "999",
+                  "1000", "2999", "3000", " 2000-01-01 ", "2000-1-1",
+                  "20200101", "2020/1/2", "1/2/3", "-1-1-1", "2020-01-01-",
+                  "0001-01-01", "9999-12-31", "2020-1-2/3"});
+  // A long numeric cell on each side of the parser's stack buffer.
+  std::vector<std::string> longs;
+  for (size_t len : {62, 63, 64, 65, 100}) {
+    longs.push_back("1." + std::string(len - 2, '5'));
+    longs.push_back(" " + std::string(len - 1, '7'));
+  }
+  cols.push_back(longs);
+  cols.push_back({});  // zero rows
+  return cols;
+}
+
+TEST(SketchOracleTest, HostileColumnsMatchThreePass) {
+  const auto cols = HostileColumns();
+  for (size_t c = 0; c < cols.size(); ++c) {
+    for (ColumnType type : {ColumnType::kString, ColumnType::kInteger,
+                            ColumnType::kFloat, ColumnType::kDate}) {
+      Table table("hostile_" + std::to_string(c), "d");
+      Column col;
+      col.name = "c";
+      col.type = type;
+      col.cells = cols[c];
+      table.AddColumn(col);
+      for (size_t max_cells : {0, 1, 2, 3, 10000}) {
+        ASSERT_TRUE(MatchesOracle(table, Options(16, max_cells, 256)))
+            << "type " << ColumnTypeName(type);
+      }
+    }
+  }
+}
+
+TEST(SketchOracleTest, DistinctValuesOverMaxCellsMatchThreePass) {
+  // More distinct values than max_cells, with duplicates and nulls in
+  // front of and among them, and the same value with and without spaces.
+  Table table("cap", "d");
+  table.AddColumn("s", {"NA", "b", "b", " b", "", "a", "c", "b ", "d", "a", "e"});
+  table.AddColumn("n", {"-", "3", "3", " 3", "1", "2", "", "4", "5", "2", "6"});
+  table.column(1).type = ColumnType::kInteger;
+  for (size_t max_cells : {1, 2, 3}) {
+    ASSERT_TRUE(MatchesOracle(table, Options(16, max_cells, 256)));
+    ASSERT_TRUE(MatchesOracle(table, Options(1, max_cells, 2)));
+  }
+}
+
+TEST(SketchOracleTest, RandomHostileTablesMatchThreePass) {
+  // Cells glued from fragments that straddle every rule: null spellings,
+  // whitespace of each kind, case, numbers, dates, high bytes.
+  const std::vector<std::string> pieces = {
+      "", " ", "\t", "\r", "\v", "\f", "\n", "na", "N/A", "-", "null",
+      "NONE", "x", "X", "New", "york", "1", "2.5", "-3", "+4", "1e5",
+      "2020-01-02", "03/04/2020", "1999", "\xc3\xa9", "\xff", "0x1p3", "inf"};
+  const ColumnType types[] = {ColumnType::kString, ColumnType::kInteger,
+                              ColumnType::kFloat, ColumnType::kDate};
+  Rng rng(11);
+  for (size_t t = 0; t < 300; ++t) {
+    Table table("rand_" + std::to_string(t), "d");
+    const size_t rows = rng.Uniform(40);
+    const size_t ncols = 1 + rng.Uniform(4);
+    for (size_t c = 0; c < ncols; ++c) {
+      Column col;
+      col.name = "c" + std::to_string(c);
+      col.type = types[rng.Uniform(4)];
+      for (size_t r = 0; r < rows; ++r) {
+        std::string cell;
+        const size_t n = rng.Uniform(4);
+        for (size_t i = 0; i < n; ++i) cell += rng.Choice(pieces);
+        col.cells.push_back(std::move(cell));
+      }
+      table.AddColumn(std::move(col));
+    }
+    if (t % 3 == 0) table.InferTypes();
+    const size_t caps[] = {0, 1, 2, 3, 5, 10000};
+    const size_t snapshots[] = {0, 1, 3, 256};
+    ASSERT_TRUE(MatchesOracle(
+        table, Options(1 + rng.Uniform(32), caps[rng.Uniform(6)],
+                       snapshots[rng.Uniform(4)])));
+  }
 }
 
 // ---------------------------------------------------------------- SimHash

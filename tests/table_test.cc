@@ -1,9 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <cmath>
+#include <cstring>
+#include <string>
+#include <vector>
+
+#include "sketch_oracle.h"
 #include "table/csv.h"
 #include "table/stats.h"
 #include "table/table.h"
 #include "table/value.h"
+#include "util/random.h"
 
 namespace tsfm {
 namespace {
@@ -65,6 +73,134 @@ TEST(ValueTest, NullTokens) {
   EXPECT_TRUE(IsNullToken("-"));
   EXPECT_FALSE(IsNullToken("0"));
   EXPECT_FALSE(IsNullToken("nothing"));
+}
+
+TEST(ValueTest, NullTokensInEveryCaseInsideWhitespaceRuns) {
+  const std::vector<std::string> runs = {"", " ", "\t", "\r\n", "\v\f",
+                                         " \t\r\v\f ", "\f\f\v\t"};
+  size_t spellings = 0;
+  for (std::string token : {"na", "nan", "null", "none", "n/a", "-"}) {
+    for (uint32_t mask = 0; mask < (1u << token.size()); ++mask) {
+      std::string spelled = token;
+      for (size_t i = 0; i < token.size(); ++i) {
+        if (mask & (1u << i)) {
+          spelled[i] = static_cast<char>(
+              std::toupper(static_cast<unsigned char>(spelled[i])));
+        }
+      }
+      ++spellings;
+      for (const auto& before : runs) {
+        for (const auto& after : runs) {
+          EXPECT_TRUE(IsNullToken(before + spelled + after))
+              << "[" << before << spelled << after << "]";
+        }
+      }
+    }
+  }
+  EXPECT_EQ(spellings, 4u + 8 + 16 + 16 + 8 + 2);
+  for (const auto& run : runs) EXPECT_TRUE(IsNullToken(run));
+}
+
+TEST(ValueTest, NullTokenNearMisses) {
+  for (const char* s : {"nulls", "nonee", "n/", "--", "n a", "N A", "n\ta",
+                        "- -", "nul", "non", "n", "a", "/", "na-", "-na",
+                        "n/a/", "nan0", "0", "nana", "NULL.", "n//a", "_"}) {
+    EXPECT_FALSE(IsNullToken(s)) << "[" << s << "]";
+    EXPECT_FALSE(IsNullToken(std::string(" \t") + s + "\f ")) << "[" << s << "]";
+  }
+}
+
+TEST(ValueTest, NullTokenHighBytes) {
+  // Bytes >= 0x80 are neither whitespace nor letters to trim or fold: a
+  // no-break space or a non-ASCII look-alike never makes a null.
+  for (const char* s : {"\xff", "\x80", "\xa0", "\xa0na\xa0", "na\xc2\xa0",
+                        "\xc2\xa0", "\xce\x9d\xce\x91", "n\xc3\xa1",
+                        "\xe2\x80\x94", "\xcd" "a"}) {
+    EXPECT_FALSE(IsNullToken(s)) << "[" << s << "]";
+  }
+}
+
+// The numeric parsers must agree with the copying bodies they replaced
+// (tests/sketch_oracle.h), value bits included.
+std::vector<std::string> ParserCorpus() {
+  std::vector<std::string> corpus = {
+      "", " ", "1.5", "+1.5", "-0", "-0.0", ".5", "5.", "1e", "e5", "1e308",
+      "1e309", "-1e309", "4.9e-324", "1e-400", "0x1p3", "0X1P-3", "0x1A",
+      "0x", "inf", "-INF", "Infinity", "+inf", "nan", "-nan", "NAN(12)",
+      "nan(", "1,5", "1.5.5", "--1", "+-1", "\t\r\v\f1.5\t\r\v\f",
+      "1.5\n", std::string("1\0" "2", 3), std::string("\0", 1),
+      // Dates: every separator shape, 8-digit parts, invalid days, the
+      // MM-DD fallback, bare years around the accepted range.
+      "2020-02-29", "2020-02-30", "2021-02-29", "1900-02-29", "2000-02-29",
+      "02/03/2020", "12-31-1999", "31-12-1999", "13-13-2020", "02-30-2020",
+      "12/31/1999", "1/2/3", "2020/1/2", "2020-1-2/3", "2020-01-01-",
+      "-1-1-1", "1-2", "1--2", "20200101", "12345678-1", "1-12345678",
+      "12345678", "0001-01-01", "9999-12-31", "0000-01-01", "999", "1000",
+      "2999", "3000", "0999", " 1999 ", "\t1999\f", "\v2000-01-01\r",
+      "2000-01-01 ", "2000- 01-01", "+200-1-1", "2000-01-1a"};
+  // The strtod stack buffer's boundary, bare and padded.
+  for (size_t len = 61; len <= 66; ++len) {
+    corpus.push_back("1." + std::string(len - 2, '5'));
+    corpus.push_back(std::string(len, '9'));
+    corpus.push_back(" " + std::string(len - 2, '7') + "\t");
+    corpus.push_back(std::string(len - 1, '1') + "x");
+  }
+  // Random decimals: long mantissas, far exponents, subnormals, overflow.
+  Rng rng(5);
+  for (int i = 0; i < 20000; ++i) {
+    std::string d = rng.Uniform(4) == 0 ? "-" : "";
+    const size_t digits = 1 + rng.Uniform(25);
+    const size_t dot = rng.Uniform(static_cast<uint32_t>(digits + 2));
+    for (size_t j = 0; j < digits; ++j) {
+      if (j == dot) d += '.';
+      d += static_cast<char>('0' + rng.Uniform(10));
+    }
+    if (rng.Uniform(2) == 0) {
+      d += rng.Uniform(2) == 0 ? "e" : "E";
+      if (rng.Uniform(3) == 0) d += rng.Uniform(2) == 0 ? "-" : "+";
+      d += std::to_string(rng.Uniform(340));
+    }
+    corpus.push_back(d);
+  }
+  // Every string up to 4 bytes over an alphabet of digits and separators.
+  const std::string alphabet = "019-/+.e x";
+  std::vector<std::string> level = {""};
+  for (int depth = 0; depth < 4; ++depth) {
+    std::vector<std::string> next;
+    for (const auto& prefix : level) {
+      for (char ch : alphabet) next.push_back(prefix + ch);
+    }
+    corpus.insert(corpus.end(), next.begin(), next.end());
+    level = std::move(next);
+  }
+  return corpus;
+}
+
+TEST(ValueTest, ParsersMatchCopyingBodies) {
+  for (const auto& s : ParserCorpus()) {
+    auto f = ParseFloat(s);
+    auto want_f = oracle::ParseFloat(s);
+    ASSERT_EQ(f.has_value(), want_f.has_value()) << "[" << s << "]";
+    if (f) {
+      EXPECT_EQ(std::memcmp(&*f, &*want_f, sizeof(double)), 0) << "[" << s << "]";
+    }
+    EXPECT_EQ(ParseDateToDays(s), oracle::ParseDateToDays(s)) << "[" << s << "]";
+    EXPECT_EQ(IsNullToken(s), oracle::IsNullToken(s)) << "[" << s << "]";
+  }
+}
+
+TEST(ValueTest, ParserBoundaryValues) {
+  EXPECT_DOUBLE_EQ(ParseFloat("0x1p3").value(), 8.0);
+  EXPECT_DOUBLE_EQ(ParseFloat("+1.5").value(), 1.5);
+  EXPECT_TRUE(std::isinf(ParseFloat("-inf").value()));
+  EXPECT_TRUE(std::isnan(ParseFloat("nan").value()));
+  EXPECT_DOUBLE_EQ(ParseFloat(" 1." + std::string(62, '0') + " ").value(), 1.0);
+  EXPECT_FALSE(ParseFloat(std::string(70, '1') + "x").has_value());
+  EXPECT_EQ(ParseDateToDays("12-31-1999"), ParseDateToDays("1999-12-31"));
+  EXPECT_EQ(ParseDateToDays("999"), std::nullopt);
+  EXPECT_EQ(ParseDateToDays("1000"), ParseDateToDays("1000-01-01"));
+  EXPECT_EQ(ParseDateToDays("2999"), ParseDateToDays("2999-01-01"));
+  EXPECT_EQ(ParseDateToDays("3000"), std::nullopt);
 }
 
 TEST(ValueTest, NumericValueByType) {

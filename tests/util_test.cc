@@ -195,29 +195,11 @@ TEST(HashTest, HashCombineOrderMatters) {
 
 // ----------------------------------------------------------------- Strings
 
-TEST(StringTest, SplitKeepsEmptyFields) {
-  auto parts = Split("a,,b,", ',');
-  ASSERT_EQ(parts.size(), 4u);
-  EXPECT_EQ(parts[0], "a");
-  EXPECT_EQ(parts[1], "");
-  EXPECT_EQ(parts[2], "b");
-  EXPECT_EQ(parts[3], "");
-}
-
-TEST(StringTest, SplitWhitespaceDropsEmpty) {
-  auto parts = SplitWhitespace("  foo \t bar\nbaz  ");
-  ASSERT_EQ(parts.size(), 3u);
-  EXPECT_EQ(parts[0], "foo");
-  EXPECT_EQ(parts[2], "baz");
-}
-
 TEST(StringTest, JoinRoundTrip) {
   std::vector<std::string> v = {"x", "y", "z"};
   EXPECT_EQ(Join(v, "-"), "x-y-z");
   EXPECT_EQ(Join({}, "-"), "");
 }
-
-TEST(StringTest, ToLowerAscii) { EXPECT_EQ(ToLower("AbC123"), "abc123"); }
 
 TEST(StringTest, TrimBothEnds) {
   EXPECT_EQ(Trim("  hi  "), "hi");
