@@ -249,10 +249,23 @@ struct ScanFixture {
   search::Sq8Codec codec;
   std::vector<uint8_t> codes;
   std::vector<float> code_norms;
-  ScanFixture(size_t num_rows, size_t dim) {
+  // clusters == 0 draws Gaussian rows; otherwise rows and the query sit
+  // around that many Gaussian centres, as encoder outputs cluster.
+  ScanFixture(size_t num_rows, size_t dim, size_t clusters = 0) {
     Rng rng(29);
     rows.resize(num_rows * dim);
-    for (auto& x : rows) x = static_cast<float>(rng.Normal());
+    std::vector<float> centres(clusters * dim);
+    for (auto& x : centres) x = static_cast<float>(rng.Normal());
+    for (size_t r = 0; r < num_rows; ++r) {
+      const float* centre =
+          clusters == 0 ? nullptr
+                        : centres.data() + (r % clusters) * dim;
+      for (size_t i = 0; i < dim; ++i) {
+        const auto noise = static_cast<float>(rng.Normal());
+        rows[r * dim + i] =
+            centre == nullptr ? noise : centre[i] + 0.5f * noise;
+      }
+    }
     for (size_t r = 0; r < num_rows; ++r) {
       norms.push_back(std::sqrt(kernels::ScalarKernels().dot(
           rows.data() + r * dim, rows.data() + r * dim, dim)));
@@ -316,35 +329,104 @@ BENCHMARK(BM_FlatScanTopKLarge)->ArgsProduct({{0, 1}, {0, 1}});
 // per query. items_processed counts (query, row) pairs, so items/sec is
 // directly comparable across num_queries: the gap between num_queries=1
 // and 8 at the same kernel/storage is the batching win. Args:
-// {kernel set, storage, num_queries}.
-void BM_MultiScanTopK(benchmark::State& state) {
-  constexpr size_t kRows = 4096, kDim = 768, kMaxQueries = 8;
-  static const ScanFixture& f = *new ScanFixture(kRows, kDim);
-  static const std::vector<float>& queries = *[] {
+// {kernel set, storage, num_queries, dim}, two shapes by dim:
+//   768 — 4096 Gaussian rows, k = 10.
+//   96  — e2ebench vector_scan's per-shard scan: its 6,000-table lake of
+//         96-d column embeddings holds ~9,300 rows per shard over 4 shards,
+//         each query column asks for k·3 = 30 hits, and the rows and
+//         queries cluster around 64 centres.
+struct MultiScanFixture {
+  size_t num_rows, dim, k;
+  ScanFixture scan;
+  std::vector<float> queries;  // kMaxQueries row-major
+  static constexpr size_t kMaxQueries = 8;
+
+  MultiScanFixture(size_t num_rows, size_t dim, size_t k, size_t clusters)
+      : num_rows(num_rows), dim(dim), k(k), scan(num_rows, dim, clusters) {
     Rng rng(31);
-    auto* q = new std::vector<float>(kMaxQueries * kDim);
-    for (auto& x : *q) x = static_cast<float>(rng.Normal());
-    return q;
-  }();
+    queries.resize(kMaxQueries * dim);
+    for (size_t q = 0; q < kMaxQueries; ++q) {
+      // A clustered query is a lake row plus noise of the rows' own spread.
+      const float* near =
+          clusters == 0 ? nullptr
+                        : scan.rows.data() +
+                              rng.Uniform(static_cast<uint32_t>(num_rows)) * dim;
+      for (size_t i = 0; i < dim; ++i) {
+        const auto noise = static_cast<float>(rng.Normal());
+        queries[q * dim + i] = near == nullptr ? noise : near[i] + 0.5f * noise;
+      }
+    }
+  }
+};
+
+const MultiScanFixture& GetMultiScanFixture(int64_t dim) {
+  if (dim == 96) {
+    static const MultiScanFixture& shard =
+        *new MultiScanFixture(9300, 96, 30, 64);
+    return shard;
+  }
+  static const MultiScanFixture& wide = *new MultiScanFixture(4096, 768, 10, 0);
+  return wide;
+}
+
+void BM_MultiScanTopK(benchmark::State& state) {
+  const MultiScanFixture& m = GetMultiScanFixture(state.range(3));
+  const ScanFixture& f = m.scan;
   const kernels::KernelDispatch& kd = BenchKernels(state.range(0));
   const bool sq8 = state.range(1) != 0;
   const size_t nq = static_cast<size_t>(state.range(2));
   for (auto _ : state) {
     auto hits =
-        sq8 ? search::ScanTopKMultiSq8(kd, queries.data(), nq, f.codes.data(),
-                                       f.codec, f.code_norms.data(), kRows,
-                                       search::Metric::kCosine, 10)
-            : search::ScanTopKMulti(kd, queries.data(), nq, f.rows.data(),
-                                    f.norms.data(), kRows, kDim,
-                                    search::Metric::kCosine, 10);
+        sq8 ? search::ScanTopKMultiSq8(kd, m.queries.data(), nq,
+                                       f.codes.data(), f.codec,
+                                       f.code_norms.data(), m.num_rows,
+                                       search::Metric::kCosine, m.k)
+            : search::ScanTopKMulti(kd, m.queries.data(), nq, f.rows.data(),
+                                    f.norms.data(), m.num_rows, m.dim,
+                                    search::Metric::kCosine, m.k);
     benchmark::DoNotOptimize(hits.data());
   }
   state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(nq * kRows));
+                          static_cast<int64_t>(nq * m.num_rows));
   state.SetLabel(std::string(kd.name) + (sq8 ? "/sq8" : "/float32"));
   state.counters["num_queries"] = static_cast<double>(nq);
 }
-BENCHMARK(BM_MultiScanTopK)->ArgsProduct({{0, 1}, {0, 1}, {1, 4, 8}});
+BENCHMARK(BM_MultiScanTopK)
+    ->ArgsProduct({{0, 1}, {0, 1}, {1, 4, 8}, {768}})
+    ->ArgsProduct({{0, 1}, {0, 1}, {1, 4}, {96}});
+
+// The bare multi kernel under BM_MultiScanTopK, same args: the same rows
+// and queries in the scan's 512-row blocks, with no heap, bound or
+// rescore. BM_MultiScanTopK over this is what the scan adds per row.
+void BM_MultiScanKernel(benchmark::State& state) {
+  const MultiScanFixture& m = GetMultiScanFixture(state.range(3));
+  const ScanFixture& f = m.scan;
+  const kernels::KernelDispatch& kd = BenchKernels(state.range(0));
+  const bool sq8 = state.range(1) != 0;
+  const size_t nq = static_cast<size_t>(state.range(2));
+  constexpr size_t kBlockRows = 512;
+  std::vector<float> block(nq * kBlockRows);
+  for (auto _ : state) {
+    for (size_t base = 0; base < m.num_rows; base += kBlockRows) {
+      const size_t count = std::min(kBlockRows, m.num_rows - base);
+      if (sq8) {
+        kd.dot_multi_sq8(m.queries.data(), nq, f.codes.data() + base * m.dim,
+                         count, m.dim, block.data());
+      } else {
+        kd.dot_multi(m.queries.data(), nq, f.rows.data() + base * m.dim,
+                     count, m.dim, block.data());
+      }
+      benchmark::DoNotOptimize(block.data());
+    }
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(nq * m.num_rows));
+  state.SetLabel(std::string(kd.name) + (sq8 ? "/sq8" : "/float32"));
+  state.counters["num_queries"] = static_cast<double>(nq);
+}
+BENCHMARK(BM_MultiScanKernel)
+    ->ArgsProduct({{0, 1}, {0, 1}, {1, 4, 8}, {768}})
+    ->ArgsProduct({{0, 1}, {0, 1}, {1, 4}, {96}});
 
 // --------------------------------------------------------- ANN backends
 // Flat-vs-HNSW comparison: build time, single-query QPS (with recall@10 of

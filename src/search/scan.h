@@ -7,6 +7,21 @@
 // dispatch. A single query is a batch of one. Float rows and SQ8 code rows
 // with an exact rescore share that shape. Every scan has an overload
 // pinned to an explicit kernel set for parity tests and benches.
+//
+// Admission bound. Once a query's heap is full, a row can enter it only if
+// its distance is strictly below the heap top's (every kept row precedes
+// it, so a tie loses the row tie-break). Each block is therefore first
+// marked in the kernel's raw space against the current top — cosine keeps
+// a row only if dot >= (1 - top - slack)·‖q‖·‖r‖, float L2 compares the
+// squared value with top² rounded up, SQ8 cosine tests bias + dot, and the
+// SQ8 L2 proxy tests its value against the top directly — and only marked
+// rows go through the exact distance and the heap. The skip is
+// conservative: a mark is cleared only where !(distance < top) is certain,
+// including zero norms, a +inf or NaN top, and NaN or ±inf rows. So the
+// heaps see the same pushes in the same order, and every result below is
+// BIT-IDENTICAL to scoring every row through the heap (same rows, same
+// distance bits, same tie-breaks); tests/scan_test.cc keeps that unpruned
+// loop as its oracle.
 #ifndef TSFM_SEARCH_SCAN_H_
 #define TSFM_SEARCH_SCAN_H_
 
@@ -43,7 +58,9 @@ class Sq8Codec;
 /// hits per query sorted ascending by (distance, row). Under kCosine,
 /// `row_norms` must hold the rows' L2 norms (query norms are computed
 /// internally; zero norms yield kMaxCosineDistance). Under kL2,
-/// `row_norms` is ignored and distances are Euclidean (square-rooted).
+/// `row_norms` is never read (it may be nullptr) and distances are
+/// Euclidean (square-rooted). Rows that cannot enter a full heap are
+/// skipped by the admission bound above without changing any result.
 std::vector<std::vector<ScanHit>> ScanTopKMulti(
     const float* queries, size_t num_queries, const float* rows,
     const float* row_norms, size_t num_rows, size_t dim, Metric metric,
@@ -63,12 +80,13 @@ std::vector<std::vector<ScanHit>> ScanTopKMulti(
 /// scalar bias, so the u8 dot is the decoded dot exactly; kL2 scans a
 /// scale-weighted proxy in quantized units) and the batch streams through
 /// the dot_multi_sq8 / l2sq_multi_sq8 kernels into one top-C heap per query
-/// with C = max(4k, 64). (2) Exact rescore: each query's surviving
-/// candidate rows are decoded to float and re-ranked with the pairwise
-/// float kernels, so the returned hits carry the same distances a float
-/// scan over the decoded rows would — the L2 proxy's scale weighting never
-/// reaches the caller. Under kCosine, `row_norms` must hold the *decoded*
-/// rows' L2 norms; under kL2 it is ignored. Per query the result is
+/// with C = max(4k, 64), behind the same admission bound as ScanTopKMulti.
+/// (2) Exact rescore: each query's surviving candidate rows are decoded to
+/// float and re-ranked with the pairwise float kernels, so the returned
+/// hits carry the same distances a float scan over the decoded rows would
+/// — the L2 proxy's scale weighting never reaches the caller. Under
+/// kCosine, `row_norms` must hold the *decoded* rows' L2 norms; under kL2
+/// it is never read (it may be nullptr). Per query the result is
 /// bit-identical to that query scanned alone (`num_queries = 1`) under the
 /// same kernel set, sorted ascending by (distance, row), up to k hits.
 std::vector<std::vector<ScanHit>> ScanTopKMultiSq8(

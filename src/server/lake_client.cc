@@ -60,7 +60,7 @@ void LakeClient::Close() {
   }
 }
 
-Result<Response> LakeClient::RoundTrip(const Request& request) {
+Result<Response> LakeClient::RoundTrip(const RequestView& request) {
   if (fd_ < 0) return Status::Internal("client is not connected");
   if (Status s = WriteFrame(fd_, SerializeRequest(request)); !s.ok()) {
     Close();
@@ -179,10 +179,12 @@ Result<std::vector<std::vector<ShardHit>>> LakeClient::ShardQuery(
       return Status::InvalidArgument("shard query columns differ in dim");
     }
   }
-  Request request = MakeRequest(Opcode::kShardQuery);
-  request.k = SaturateK(m);
-  request.columns = columns;
-  Result<Response> response = RoundTrip(request);
+  // Encoded straight from the caller's columns: the distributed coordinator
+  // may retry this call on a fresh connection, so they are neither copied
+  // nor moved.
+  Result<Response> response = RoundTrip(
+      RequestView(RequiredVersion(Opcode::kShardQuery), Opcode::kShardQuery,
+                  SaturateK(m), columns));
   if (!response.ok()) return response.status();
   return std::move(response).value().hits;
 }

@@ -100,7 +100,7 @@ class LakeClient {
   bool connected() const { return fd_ >= 0; }
 
  private:
-  Result<Response> RoundTrip(const Request& request);
+  Result<Response> RoundTrip(const RequestView& request);
   void ApplyTimeouts();
 
   size_t max_frame_bytes_;

@@ -105,7 +105,7 @@ Response Response::Error(Opcode op, const Status& status) {
   return response;
 }
 
-void EncodeRequest(const Request& request, std::ostream& out) {
+void EncodeRequest(const RequestView& request, std::ostream& out) {
   WritePod(out, request.version);
   WritePod(out, static_cast<uint8_t>(request.op));
   if (IsHeaderOnly(request.op)) return;
@@ -116,19 +116,9 @@ void EncodeRequest(const Request& request, std::ostream& out) {
     if (request.op == Opcode::kRemoveTable) return;
     // kAddTable continues with the new table's columns; no k — an ingest
     // has no result-count knob.
-    WritePod(out, static_cast<uint32_t>(request.columns.size()));
-    const uint32_t dim = request.columns.empty()
-                             ? 0u
-                             : static_cast<uint32_t>(request.columns[0].size());
-    WritePod(out, dim);
-    for (const auto& column : request.columns) {
-      TSFM_CHECK_EQ(column.size(), static_cast<size_t>(dim));
-      out.write(reinterpret_cast<const char*>(column.data()),
-                static_cast<std::streamsize>(column.size() * sizeof(float)));
-    }
-    return;
+  } else {
+    WritePod(out, request.k);
   }
-  WritePod(out, request.k);
   WritePod(out, static_cast<uint32_t>(request.columns.size()));
   const uint32_t dim =
       request.columns.empty() ? 0u
@@ -365,7 +355,7 @@ Status DecodeResponse(std::istream& in, Response* response) {
   return RequireFullyConsumed(in);
 }
 
-std::string SerializeRequest(const Request& request) {
+std::string SerializeRequest(const RequestView& request) {
   std::ostringstream out;
   EncodeRequest(request, out);
   return std::move(out).str();

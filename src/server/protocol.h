@@ -16,7 +16,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/status.h"
@@ -88,6 +90,32 @@ struct Request {
   std::vector<std::vector<float>> columns;
 
   bool operator==(const Request&) const = default;
+};
+
+/// \brief A request's wire fields with the table id and columns borrowed,
+/// not owned.
+///
+/// The request encoder reads this view, so a caller that holds its columns
+/// elsewhere (LakeClient::ShardQuery) encodes them in place instead of
+/// copying them into a Request first. A Request converts to its view
+/// implicitly; both encode to the same bytes. The viewed id and columns
+/// must outlive the view.
+struct RequestView {
+  RequestView(const Request& request)  // NOLINT(google-explicit-constructor)
+      : version(request.version),
+        op(request.op),
+        k(request.k),
+        table_id(request.table_id),
+        columns(request.columns) {}
+  RequestView(uint8_t version, Opcode op, uint32_t k,
+              std::span<const std::vector<float>> columns)
+      : version(version), op(op), k(k), columns(columns) {}
+
+  uint8_t version;
+  Opcode op;
+  uint32_t k;
+  std::string_view table_id;
+  std::span<const std::vector<float>> columns;
 };
 
 /// \brief One raw column hit returned by a SHARD_QUERY.
@@ -164,7 +192,7 @@ struct Response {
 /// columns must share one dimension — the wire format carries a single dim
 /// for the whole query — and ragged input check-fails rather than encoding
 /// a payload that would decode to a different request.
-void EncodeRequest(const Request& request, std::ostream& out);
+void EncodeRequest(const RequestView& request, std::ostream& out);
 
 /// \brief Parses a request payload.
 ///
@@ -181,7 +209,7 @@ void EncodeResponse(const Response& response, std::ostream& out);
 Status DecodeResponse(std::istream& in, Response* response);
 
 /// EncodeRequest into a string, ready for WriteFrame.
-std::string SerializeRequest(const Request& request);
+std::string SerializeRequest(const RequestView& request);
 
 /// EncodeResponse into a string, ready for WriteFrame.
 std::string SerializeResponse(const Response& response);

@@ -15,8 +15,7 @@ void MinHash::Update(std::string_view element) {
   // One base hash per element, then cheap per-slot mixing: the classic
   // h_i(x) = mix(base ^ seed_i) family. Murmur gives a well-distributed
   // base; SplitMix64 decorrelates the K slots.
-  uint64_t base = (static_cast<uint64_t>(Murmur3_32(element, 0x9747b28c)) << 32) |
-                  Murmur3_32(element, 0x85ebca6b);
+  const uint64_t base = Murmur3_32Pair(element, 0x9747b28c, 0x85ebca6b);
   for (size_t i = 0; i < signature_.size(); ++i) {
     uint64_t h = SplitMix64(base ^ (0x27d4eb2f165667c5ULL * (i + 1)));
     // Branch-free: on a young signature whether a slot moves is a coin flip.

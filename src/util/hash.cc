@@ -1,5 +1,6 @@
 #include "util/hash.h"
 
+#include <array>
 #include <cstring>
 
 namespace tsfm {
@@ -17,14 +18,14 @@ inline uint32_t Fmix32(uint32_t h) {
   return h;
 }
 
-}  // namespace
-
-uint32_t Murmur3_32(std::string_view data, uint32_t seed) {
+// MurmurHash3 x86 32-bit under N seeds in one walk over `data`: each
+// block's k1 is mixed once and folded into every seed's h1.
+template <size_t N>
+std::array<uint32_t, N> Murmur3States(std::string_view data,
+                                      std::array<uint32_t, N> h) {
   const uint8_t* bytes = reinterpret_cast<const uint8_t*>(data.data());
   const size_t len = data.size();
   const size_t nblocks = len / 4;
-
-  uint32_t h1 = seed;
   const uint32_t c1 = 0xcc9e2d51;
   const uint32_t c2 = 0x1b873593;
 
@@ -34,9 +35,11 @@ uint32_t Murmur3_32(std::string_view data, uint32_t seed) {
     k1 *= c1;
     k1 = Rotl32(k1, 15);
     k1 *= c2;
-    h1 ^= k1;
-    h1 = Rotl32(h1, 13);
-    h1 = h1 * 5 + 0xe6546b64;
+    for (uint32_t& h1 : h) {
+      h1 ^= k1;
+      h1 = Rotl32(h1, 13);
+      h1 = h1 * 5 + 0xe6546b64;
+    }
   }
 
   const uint8_t* tail = bytes + nblocks * 4;
@@ -53,11 +56,23 @@ uint32_t Murmur3_32(std::string_view data, uint32_t seed) {
       k1 *= c1;
       k1 = Rotl32(k1, 15);
       k1 *= c2;
-      h1 ^= k1;
+      for (uint32_t& h1 : h) h1 ^= k1;
   }
 
-  h1 ^= static_cast<uint32_t>(len);
-  return Fmix32(h1);
+  for (uint32_t& h1 : h) h1 = Fmix32(h1 ^ static_cast<uint32_t>(len));
+  return h;
+}
+
+}  // namespace
+
+uint32_t Murmur3_32(std::string_view data, uint32_t seed) {
+  return Murmur3States<1>(data, {seed})[0];
+}
+
+uint64_t Murmur3_32Pair(std::string_view data, uint32_t seed_hi,
+                        uint32_t seed_lo) {
+  const auto [hi, lo] = Murmur3States<2>(data, {seed_hi, seed_lo});
+  return (static_cast<uint64_t>(hi) << 32) | lo;
 }
 
 uint64_t Fnv1a64(std::string_view data) {

@@ -14,6 +14,11 @@ namespace tsfm {
 /// MurmurHash3 x86 32-bit of `data` with `seed`.
 uint32_t Murmur3_32(std::string_view data, uint32_t seed);
 
+/// Both seeds' Murmur3_32 in one walk over `data`:
+/// `(Murmur3_32(data, seed_hi) << 32) | Murmur3_32(data, seed_lo)`.
+uint64_t Murmur3_32Pair(std::string_view data, uint32_t seed_hi,
+                        uint32_t seed_lo);
+
 /// 64-bit FNV-1a of `data`.
 uint64_t Fnv1a64(std::string_view data);
 

@@ -587,6 +587,46 @@ TEST_P(ProtocolRoundTripTest, NoProperPrefixOfAQueryRequestDecodes) {
   }
 }
 
+// A RequestView over borrowed columns (how LakeClient::ShardQuery sends a
+// SHARD_QUERY) must put the same bytes on the wire as the Request holding
+// copies of them, and those bytes must be the documented layout: version,
+// opcode, u32 k, u32 column count, u32 dim, then the floats column-major.
+TEST_P(ProtocolRoundTripTest, BorrowedColumnsEncodeLikeAnOwningRequest) {
+  Rng rng(GetParam() + 3000);
+  for (int i = 0; i < 50; ++i) {
+    const size_t n = static_cast<size_t>(rng.UniformInt(0, 4));
+    const size_t dim = static_cast<size_t>(rng.UniformInt(1, 9));
+    std::vector<std::vector<float>> columns(n, std::vector<float>(dim));
+    for (auto& column : columns) {
+      for (float& x : column) x = static_cast<float>(rng.Normal());
+    }
+    const auto k = static_cast<uint32_t>(rng.UniformInt(0, 100));
+
+    server::Request owning;
+    owning.version = server::RequiredVersion(server::Opcode::kShardQuery);
+    owning.op = server::Opcode::kShardQuery;
+    owning.k = k;
+    owning.columns = columns;
+    const std::string borrowed = server::SerializeRequest(server::RequestView(
+        owning.version, server::Opcode::kShardQuery, k, columns));
+    EXPECT_EQ(borrowed, server::SerializeRequest(owning));
+
+    std::string layout;
+    auto put = [&layout](const auto& pod) {
+      layout.append(reinterpret_cast<const char*>(&pod), sizeof(pod));
+    };
+    put(owning.version);
+    put(static_cast<uint8_t>(server::Opcode::kShardQuery));
+    put(k);
+    put(static_cast<uint32_t>(n));
+    put(static_cast<uint32_t>(n == 0 ? 0 : dim));
+    for (const auto& column : columns) {
+      for (float x : column) put(x);
+    }
+    EXPECT_EQ(borrowed, layout);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, ProtocolRoundTripTest,
                          testing::Values(1u, 2u, 3u, 4u));
 

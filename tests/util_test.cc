@@ -4,6 +4,8 @@
 #include <atomic>
 #include <memory>
 #include <set>
+#include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -172,6 +174,45 @@ TEST(HashTest, Murmur3HandlesAllTailLengths) {
     hashes.insert(Murmur3_32(s, 42));
   }
   EXPECT_EQ(hashes.size(), 6u);
+}
+
+TEST(HashTest, Murmur3MatchesReferenceVectors) {
+  // Published MurmurHash3_x86_32 outputs: pins the walk Murmur3_32 and
+  // Murmur3_32Pair share, whatever it is refactored into.
+  EXPECT_EQ(Murmur3_32("", 0), 0x00000000u);
+  EXPECT_EQ(Murmur3_32("", 1), 0x514e28b7u);
+  EXPECT_EQ(Murmur3_32("", 0xffffffffu), 0x81f16f39u);
+  EXPECT_EQ(Murmur3_32(std::string(4, '\0'), 0), 0x2362f9deu);
+  EXPECT_EQ(Murmur3_32("aaaa", 0x9747b28c), 0x5a97808au);
+  EXPECT_EQ(Murmur3_32("abc", 0), 0xb3dd93fau);
+  EXPECT_EQ(Murmur3_32("Hello, world!", 0x9747b28c), 0x24884cbau);
+  EXPECT_EQ(Murmur3_32("The quick brown fox jumps over the lazy dog",
+                       0x9747b28c),
+            0x2fa826cdu);
+}
+
+TEST(HashTest, Murmur3PairMatchesTwoSingleSeedHashes) {
+  auto two_calls = [](std::string_view s, uint32_t hi, uint32_t lo) {
+    return (static_cast<uint64_t>(Murmur3_32(s, hi)) << 32) |
+           Murmur3_32(s, lo);
+  };
+  // Every block count 0..4 with every tail length 0..3, at MinHash's seeds.
+  const std::string text = "abcdefghijklmnopq";
+  for (size_t len = 0; len <= 17; ++len) {
+    const std::string_view s(text.data(), len);
+    EXPECT_EQ(Murmur3_32Pair(s, 0x9747b28c, 0x85ebca6b),
+              two_calls(s, 0x9747b28c, 0x85ebca6b))
+        << "len " << len;
+  }
+  // Random bytes (high bit and NUL included) at random seeds.
+  Rng rng(11);
+  for (int trial = 0; trial < 500; ++trial) {
+    std::string s(rng.UniformInt(0, 64), '\0');
+    for (char& c : s) c = static_cast<char>(rng.UniformInt(0, 255));
+    const uint32_t hi = rng.NextU32();
+    const uint32_t lo = rng.NextU32();
+    EXPECT_EQ(Murmur3_32Pair(s, hi, lo), two_calls(s, hi, lo));
+  }
 }
 
 TEST(HashTest, Fnv1a64KnownValue) {
