@@ -152,23 +152,27 @@ struct ScoreSpace {
 };
 
 // Calls visit(j) for each j < n with marks[j] (0 or 1) set, in ascending
-// order. Eight marks are read as one word, so a block where few rows pass
-// costs about n / 8 tests, and a word's set marks are walked bit by bit.
+// order, until visit returns false; returns the index just past the last
+// row visited then, or n. Eight marks are read as one word, so a run where
+// few rows pass costs about n / 8 tests, and a word's set marks are walked
+// bit by bit.
 template <typename Visit>
-void ForEachMarked(const uint8_t* marks, size_t n, Visit&& visit) {
+size_t WalkMarked(const uint8_t* marks, size_t n, Visit&& visit) {
   size_t j = 0;
   if constexpr (std::endian::native == std::endian::little) {
     for (; j + 8 <= n; j += 8) {
       uint64_t word;
       std::memcpy(&word, marks + j, sizeof(word));
       for (; word != 0; word &= word - 1) {
-        visit(j + static_cast<size_t>(std::countr_zero(word)) / 8);
+        const size_t at = j + static_cast<size_t>(std::countr_zero(word)) / 8;
+        if (!visit(at)) return at + 1;
       }
     }
   }
   for (; j < n; ++j) {
-    if (marks[j]) visit(j);
+    if (marks[j] && !visit(j)) return j + 1;
   }
+  return n;
 }
 
 // The scans' one block → bound → heap consumer. `kernel(base, count, out)`
@@ -178,8 +182,11 @@ void ForEachMarked(const uint8_t* marks, size_t n, Visit&& visit) {
 // ascending row order per query. Until a query's heap holds `cap` rows,
 // every row goes in; after that each run of kMarkRows rows is first marked
 // against the heap top, and only marked rows reach the exact score and
-// HeapPush. The top only falls while the run is consumed, so the bound
-// taken at its start stays conservative for all of it.
+// HeapPush. While the heap is ordered its top only falls as rows enter, so
+// the bound taken at the run's start stays conservative for all of it. A
+// NaN kept during the fill leaves std::priority_queue without a strict weak
+// order, and a push can then raise the top: whenever it does, the rest of
+// the run is re-marked against the raised top.
 template <typename BlockKernel>
 std::vector<TopKHeap> ScanBlocks(const ScoreSpace& space, size_t num_queries,
                                  size_t num_rows, size_t cap,
@@ -198,13 +205,18 @@ std::vector<TopKHeap> ScanBlocks(const ScoreSpace& space, size_t num_queries,
         heap.emplace(space.Exact(values[i], q, base + i), base + i);
       }
       for (; i < count; i += kMarkRows) {
-        const size_t n = std::min(kMarkRows, count - i);
-        const float* chunk = values + i;
-        const size_t first = base + i;
-        space.Mark(chunk, q, first, n, heap.top().first, marks);
-        ForEachMarked(marks, n, [&](size_t j) {
-          HeapPush(heap, cap, space.Exact(chunk[j], q, first + j), first + j);
-        });
+        const size_t end = std::min(i + kMarkRows, count);
+        for (size_t from = i; from < end;) {
+          const float top = heap.top().first;
+          const float* chunk = values + from;
+          const size_t first = base + from;
+          space.Mark(chunk, q, first, end - from, top, marks);
+          from += WalkMarked(marks, end - from, [&](size_t j) {
+            HeapPush(heap, cap, space.Exact(chunk[j], q, first + j),
+                     first + j);
+            return heap.top().first <= top;
+          });
+        }
       }
     }
   }

@@ -17,8 +17,10 @@
 // SQ8 L2 proxy tests its value against the top directly — and only marked
 // rows go through the exact distance and the heap. The skip is
 // conservative: a mark is cleared only where !(distance < top) is certain,
-// including zero norms, a +inf or NaN top, and NaN or ±inf rows. So the
-// heaps see the same pushes in the same order, and every result below is
+// including zero norms, a +inf or NaN top, and NaN or ±inf rows. A NaN
+// kept while a heap fills leaves it unordered, so a push can raise its
+// top; the rest of the block is then re-marked against the raised top. So
+// the heaps see the same pushes in the same order, and every result below is
 // BIT-IDENTICAL to scoring every row through the heap (same rows, same
 // distance bits, same tie-breaks); tests/scan_test.cc keeps that unpruned
 // loop as its oracle.

@@ -440,5 +440,94 @@ TEST(ScanOracleTest, AllRowsEqualTieOnEveryRow) {
   }
 }
 
+// A NaN kept while a heap fills leaves std::priority_queue without a strict
+// weak order (a NaN pair compares neither below nor above any other), so a
+// later pop + push can raise its top. A later row is still admitted iff its
+// distance is below the top (it follows every kept row), but against
+// whatever top the unordered heap shows by then.
+//
+// k = 4 and distances 0.2, NaN, 0.5, 0.9, 0.2, 0.6: after the fill the top
+// is (0.5, row 2), with 0.9 hidden below the NaN; row 4 replaces it and
+// the top rises to (0.9, row 3), so the unpruned loop admits row 5
+// (0.6 < 0.9) although it is not below the top the run began with.
+constexpr float kNanFillDistances[] = {0.2f, -1.0f, 0.5f, 0.9f, 0.2f, 0.6f};
+constexpr size_t kNanFillK = 4;
+constexpr size_t kNanFillLastRow = std::size(kNanFillDistances) - 1;
+
+TEST(ScanOracleTest, NanInTheFillL2AdmitsAfterTheTopRises) {
+  const float kNaN = std::numeric_limits<float>::quiet_NaN();
+  std::vector<float> rows;
+  for (float d : kNanFillDistances) rows.push_back(d < 0 ? kNaN : d);
+  const float query = 0.0f;
+  for (const KernelDispatch* kd : KernelSets()) {
+    const auto hits = ScanTopKMulti(*kd, &query, 1, rows.data(), nullptr,
+                                    rows.size(), 1, Metric::kL2, kNanFillK);
+    ExpectSameHits(hits,
+                   OracleScanTopKMulti(*kd, &query, 1, rows.data(), nullptr,
+                                       rows.size(), 1, Metric::kL2, kNanFillK),
+                   kd->name);
+    bool kept_last = false;
+    for (const ScanHit& hit : hits[0]) kept_last |= hit.row == kNanFillLastRow;
+    EXPECT_TRUE(kept_last) << kd->name;
+  }
+}
+
+TEST(ScanOracleTest, NanInTheFillCosineAdmitsAfterTheTopRises) {
+  // The cosine twin: query (1, 0), each row at the angle whose cosine
+  // distance is the same list's, and an inf row (inf / inf is NaN) in the
+  // NaN's place.
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  std::vector<float> rows, norms;
+  for (float d : kNanFillDistances) {
+    const double c = 1.0 - d;
+    rows.push_back(d < 0 ? kInf : static_cast<float>(c));
+    rows.push_back(d < 0 ? 0.0f : static_cast<float>(std::sqrt(1 - c * c)));
+    norms.push_back(Norm(rows.data() + rows.size() - 2, 2));
+  }
+  const float query[] = {1.0f, 0.0f};
+  for (const KernelDispatch* kd : KernelSets()) {
+    const auto hits =
+        ScanTopKMulti(*kd, query, 1, rows.data(), norms.data(), norms.size(),
+                      2, Metric::kCosine, kNanFillK);
+    ExpectSameHits(hits,
+                   OracleScanTopKMulti(*kd, query, 1, rows.data(),
+                                       norms.data(), norms.size(), 2,
+                                       Metric::kCosine, kNanFillK),
+                   kd->name);
+    bool kept_last = false;
+    for (const ScanHit& hit : hits[0]) kept_last |= hit.row == kNanFillLastRow;
+    EXPECT_TRUE(kept_last) << kd->name;
+  }
+}
+
+TEST(ScanOracleTest, NanInTheFillSweep) {
+  // Short lakes where about every fifth row carries a NaN or an inf
+  // coordinate, so most heaps keep a NaN distance during the fill: NaN rows
+  // give NaN under L2, inf rows give inf / inf = NaN under cosine. SQ8
+  // codes cannot hold either, so its decoded norms carry them instead.
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  const float kNaN = std::numeric_limits<float>::quiet_NaN();
+  for (uint64_t seed = 0; seed < 1000; ++seed) {
+    Rng rng(seed);
+    const size_t dim = 1 + seed % 3;
+    const size_t num_rows = 8 + rng.Uniform(400);
+    const size_t nq = 1 + seed % 4;
+    Lake lake = MakeLake(dim, num_rows, nq, Stress::kPlain, 7000 + seed);
+    for (size_t r = 0; r < num_rows; ++r) {
+      if (!rng.Bernoulli(0.2)) continue;
+      const float special = rng.Bernoulli(0.5) ? kNaN : kInf;
+      float* row = lake.rows.data() + r * dim;
+      row[rng.Uniform(static_cast<uint32_t>(dim))] = special;
+      lake.norms[r] = Norm(row, dim);
+      lake.code_norms[r] = special;
+    }
+    const size_t k = 1 + rng.Uniform(12);
+    for (const KernelDispatch* kd : KernelSets()) {
+      CheckAgainstOracle(*kd, lake, k,
+                         "nan fill seed " + std::to_string(seed));
+    }
+  }
+}
+
 }  // namespace
 }  // namespace tsfm::search
